@@ -8,9 +8,6 @@ Layers, bottom up:
 - ``kernels``    -- heat, Poisson, conjugate-Poisson, Riesz and fractional kernels
 - ``operators``  -- semigroups, singular and fractional integrals, commutators,
                     maximal functions
-- ``spaces``     -- Lipschitz/oscillation/BMO/Besov/Triebel-Lizorkin-type norm
-                    estimators, approximation to the identity, atoms and bumps
-- ``verify``     -- the estimate-fitting suites behind the ``besselkit`` CLI
 """
 
 from .measure import (

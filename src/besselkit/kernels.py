@@ -78,9 +78,6 @@ class KernelSpec:
             if self.alpha is None or not 0 < self.alpha < self.space.upper_dim:
                 raise ValueError("fractional kernel needs 0 < alpha < upper_dim")
 
-    def with_t(self, t: float) -> "KernelSpec":
-        return KernelSpec(self.kind, self.space, t, self.alpha, self.quad)
-
 
 # ---------------------------------------------------------------------------
 # angular moment integrals

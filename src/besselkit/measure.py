@@ -46,11 +46,17 @@ class MeasureSpace:
         return np.power(y, p) / p
 
     def ball_measure(self, x, r):
-        """m(I(x, r)) where I(x, r) = (x - r, x + r) clipped to (0, inf)."""
+        """m(I(x, r)) where I(x, r) = (x - r, x + r) clipped to (0, inf).
+
+        (hi^Q - lo^Q)/Q is formed as -hi^Q/Q * expm1(Q log1p(-d)), d = 1 - lo/hi:
+        the plain difference cancels for r << x, to 0 once x - r rounds to x.
+        """
         x = np.asarray(x, dtype=float)
         r = np.asarray(r, dtype=float)
-        lo = np.maximum(x - r, 0.0)
-        return self.power_primitive(x + r) - self.power_primitive(lo)
+        hi = x + r
+        d = np.minimum(2.0 * r / hi, 1.0)
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf once lo clips to 0
+            return -self.power_primitive(hi) * np.expm1(self.upper_dim * np.log1p(-d))
 
     def segment_measure(self, lo, hi):
         """m((lo, hi)) for 0 <= lo <= hi."""
@@ -243,9 +249,6 @@ class GridFunction:
         nodes = np.unique(np.concatenate([self.nodes, yc[cross]]))
         return GridFunction(nodes, np.abs(self(nodes)), "linear")
 
-    def cumulative(self, space: MeasureSpace) -> "GridCumulative":
-        return GridCumulative(space, self)
-
     def to_csv(self, path) -> None:
         np.savetxt(path, np.column_stack([self.nodes, self.values]),
                    delimiter=",", header="node,value", comments="")
@@ -265,8 +268,7 @@ class GridCumulative:
     """Vectorized exact windowed integrals ∫_[lo, hi] f dm of one grid function.
 
     Prefix sums over the affine pieces of f make each window query O(log n);
-    ladder scans (maximal functions, oscillation sups) issue thousands of
-    window queries per grid point, which is why this exists.
+    each step of the maximal function's supremum queries every breakpoint.
     """
 
     def __init__(self, space: MeasureSpace, f: GridFunction):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,20 @@ def test_measure_interval_against_quadrature():
     expected, err = quad(lambda t: t ** 1.4, 1.5, 2.5, epsabs=1e-14, epsrel=1e-14)
     assert err < 1e-12
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [1e-8, 1e-12, 1e-17])
+def test_ball_measure_small_radius_against_mpmath(ratio):
+    # (x + r)^Q - (x - r)^Q cancels for r << x; the measure must not
+    space = MeasureSpace(0.75)
+    x = 1.3
+    r = ratio * x
+    q = mpmath.mpf(space.upper_dim)
+    with mpmath.workdps(50):
+        xm, rm = mpmath.mpf(x), mpmath.mpf(r)
+        exact = ((xm + rm) ** q - (xm - rm) ** q) / q
+    got = float(space.ball_measure(x, r))
+    assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_interval_clamps_at_zero():

@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besselkit.kernels import KernelSpec, riesz_kernel, frac_kernel
@@ -182,38 +182,75 @@ def test_commutator_requires_symbol():
 def test_hl_maximal_trivials():
     nodes = np.linspace(0.01, 100.0, 800)
     one = GridFunction(nodes, np.ones_like(nodes))
-    m = hl_maximal(SP, one, 5.0, LadderConfig(1e-3, 10.0))
+    m = hl_maximal(SP, one, 5.0)
     assert m == pytest.approx(1.0, abs=1e-9)
     # plateau point: M f >= f(x)
     plateau = GridFunction(nodes, ((nodes > 1) & (nodes < 3)).astype(float))
-    assert hl_maximal(SP, plateau, 2.0, LadderConfig(1e-3, 10.0)) >= 1.0 - 1e-12
+    assert hl_maximal(SP, plateau, 2.0) >= 1.0 - 1e-12
 
 
 def test_hl_maximal_matches_exhaustive_oracle():
+    # brute force over every interval [a, b] containing x whose ends lie on
+    # a 2e-3 lattice or on a node, each integral taken by integrate_dm
     nodes = np.linspace(0.5, 4.0, 60)
     f = GridFunction(nodes, ((nodes >= 1.0) & (nodes <= 2.0)).astype(float))
     x = 2.6
-    coarse = hl_maximal(SP, f, x, LadderConfig(0.05, 8.0, ratio=math.sqrt(2.0)))
-    dense = hl_maximal(SP, f, x, LadderConfig(0.01, 16.0, ratio=2.0 ** 0.125))
-    assert coarse <= dense + 1e-12
-    assert coarse >= 0.8 * dense
+    ends = np.unique(np.concatenate([np.linspace(0.0, 4.0, 2001), nodes, [x]]))
+    mass = np.array([f.integrate_dm(SP, 0.0, y) for y in ends])
+    vol = SP.segment_measure(0.0, ends)
+    left, right = ends < x, ends >= x
+    avg = (mass[right][None, :] - mass[left][:, None]) / (vol[right][None, :] - vol[left][:, None])
+    oracle = float(np.max(avg))
+    got = hl_maximal(SP, f, x)
+    assert got >= oracle - 1e-12
+    assert got <= oracle + 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=11),
+    heights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
+                     min_size=12, max_size=12),
+    start=st.floats(0.05, 2.0),
+    x=st.floats(0.01, 8.0),
+    lam=st.floats(0.25, 2.0),
+    split=st.integers(0, 10),
+)
+def test_hl_maximal_pconst_equals_all_pairs_sweep(gaps, heights, start, x, lam, split):
+    space = MeasureSpace(lam)
+    nodes = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(heights[: nodes.size])
+    f = GridFunction(nodes, values, "pconst")
+    g = f.abs()
+    # for a step function the average is monotone in each end inside a
+    # cell, so ends at 0, x and the nodes attain the supremum
+    lefts = np.concatenate([[0.0, x], nodes[nodes < x]])
+    rights = np.concatenate([[x], nodes[nodes > x]])
+    sweep = max(g.integrate_dm(space, a, b) / space.segment_measure(a, b)
+                for a in lefts for b in rights if b > a)
+    got = hl_maximal(space, f, x)
+    assert got == pytest.approx(sweep, rel=1e-12, abs=0.0)
+    # a node inserted inside a cell, carrying that cell's value, leaves f
+    # and so its maximal function unchanged
+    i = split % (nodes.size - 1)
+    mid = 0.5 * (nodes[i] + nodes[i + 1])
+    finer = GridFunction(np.insert(nodes, i + 1, mid), np.insert(values, i + 1, values[i]), "pconst")
+    assert hl_maximal(space, finer, x) == pytest.approx(got, rel=1e-12, abs=0.0)
 
 
 def test_hl_maximal_homogeneous_in_f():
     nodes = np.linspace(0.5, 4.0, 100)
     f = GridFunction(nodes, np.sin(nodes))
-    lad = LadderConfig(0.02, 8.0)
-    a = hl_maximal(SP, f, 1.7, lad)
-    b = hl_maximal(SP, f.scale(-3.0), 1.7, lad)
+    a = hl_maximal(SP, f, 1.7)
+    b = hl_maximal(SP, f.scale(-3.0), 1.7)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
 def test_hl_maximal_t_dominates_plain():
     nodes = np.linspace(0.5, 4.0, 100)
     f = GridFunction(nodes, np.sin(nodes) + 0.2)
-    lad = LadderConfig(0.02, 8.0)
-    m1 = hl_maximal(SP, f, 1.7, lad)
-    m2 = hl_maximal_t(SP, f, 1.7, 2.0, lad)
+    m1 = hl_maximal(SP, f, 1.7)
+    m2 = hl_maximal_t(SP, f, 1.7, 2.0)
     assert m2 >= m1 - 1e-9  # Jensen: higher power average dominates
 
 
