@@ -20,7 +20,7 @@ from .measure import (
     make_log_grid,
     measure_interval,
 )
-from .special import bessel_i, bessel_i_derivative_identity_check, log_gamma
+from .special import bessel_i, log_gamma
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "make_log_grid",
     "integrate_grid",
     "bessel_i",
-    "bessel_i_derivative_identity_check",
     "log_gamma",
     "__version__",
 ]

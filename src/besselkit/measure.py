@@ -91,9 +91,6 @@ class Interval:
         """Concentric dilation: same center, radius scaled by ``factor``."""
         return Interval(self.center, self.radius * factor)
 
-    def contains(self, y) -> bool:
-        return self.left < y < self.right
-
 
 def measure_interval(space: MeasureSpace, iv: Interval) -> float:
     """Exact measure of a clipped interval: closed-form power antiderivative."""

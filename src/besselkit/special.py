@@ -5,19 +5,19 @@ a fused exponential: exp(-(x-y)^2/4t) * [exp(-z) I_mu(z)] never overflows,
 whereas the textbook factorization exp(-(x^2+y^2)/4t) * I_mu(xy/2t) does.
 Both the raw and the exponentially scaled value are provided.
 
-Implementation: ascending power series for small-to-moderate argument (all
-terms positive, Kahan-compensated), large-argument asymptotic expansion with
-optimal truncation beyond a validated, order-dependent crossover.
+Implementation: scipy's exponentially scaled ``ive`` up to an order-dependent
+crossover, and the large-argument asymptotic expansion with optimal
+truncation above it.  The expansion is kept because ``ive`` returns NaN,
+without warning, for arguments of about 1e9 and beyond (scipy 1.17).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ive
 
 __all__ = [
     "bessel_i",
-    "bessel_i_derivative_identity_check",
     "log_gamma",
     "series_crossover",
 ]
@@ -38,39 +38,14 @@ def log_gamma(x):
 
 
 def series_crossover(mu: float) -> float:
-    """Argument below which the ascending series is used for order ``mu``.
+    """Argument up to which scipy's ``ive`` is used for order ``mu``.
 
     Above the crossover the asymptotic expansion reaches ~1e-14 relative
-    truncation error; below it the positive-term series is exact to
-    rounding.  The margin grows with mu^2 because the expansion's early
-    terms scale like (4 mu^2)^k / (8 z)^k.
+    truncation error; the margin grows with mu^2 because the expansion's
+    early terms scale like (4 mu^2)^k / (8 z)^k.  Below it ``ive`` is
+    accurate to a few ulps.
     """
     return max(40.0, mu * mu + 30.0)
-
-
-def _series_scaled(mu: float, z: np.ndarray) -> np.ndarray:
-    """exp(-z) I_mu(z) by the ascending series (Kahan-compensated sum)."""
-    # sum_{m>=0} t_m with t_0 = 1, t_{m+1} = t_m * (z^2/4)/((m+1)(mu+m+1));
-    # prefactor (z/2)^mu / Gamma(mu+1) applied in log space with exp(-z).
-    q = 0.25 * z * z
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
-    term = np.ones_like(z)
-    m = 0
-    while True:
-        term = term * q / ((m + 1.0) * (mu + m + 1.0))
-        yk = term - comp
-        t = total + yk
-        comp = (t - total) - yk
-        total = t
-        m += 1
-        if m > 20 and np.all(term <= 1e-18 * total):
-            break
-        if m > 5000:  # unreachable for z below the crossover
-            break
-    with np.errstate(divide="ignore"):
-        logpref = mu * np.log(0.5 * z) - gammaln(mu + 1.0) - z
-    return np.exp(logpref) * total
 
 
 def _asymptotic_scaled(mu: float, z: np.ndarray) -> np.ndarray:
@@ -99,8 +74,10 @@ def _asymptotic_scaled(mu: float, z: np.ndarray) -> np.ndarray:
 def bessel_i(mu: float, z, scaled: bool = False):
     """I_mu(z) for mu >= -1/2 and z >= 0; ``scaled`` returns exp(-z) I_mu(z).
 
-    Raw evaluation raises OverflowError once exp(z) is unrepresentable;
-    callers hitting that regime should request the scaled value instead.
+    At z = 0 the value is 0 for mu > 0, 1 for mu = 0 and +inf for
+    -1/2 <= mu < 0.  Raw evaluation raises OverflowError once exp(z) is
+    unrepresentable; callers hitting that regime should request the scaled
+    value instead.
     """
     if mu < -0.5:
         raise ValueError(f"order must be >= -1/2, got {mu}")
@@ -114,46 +91,14 @@ def bessel_i(mu: float, z, scaled: bool = False):
             f"exp(z) overflows for z > {_RAW_OVERFLOW_Z}; use scaled=True"
         )
 
+    small = z <= series_crossover(mu)
     out = np.empty_like(z)
-    zc = series_crossover(mu)
-    small = z <= zc
-
-    if np.any(small):
-        zs = z[small]
-        pos = zs > 0
-        vals = np.empty_like(zs)
-        if np.any(pos):
-            vals[pos] = _series_scaled(mu, zs[pos])
-        # z = 0 limit: 0 for mu > 0, 1 for mu = 0, +inf for mu in [-1/2, 0)
-        if np.any(~pos):
-            if mu > 0:
-                vals[~pos] = 0.0
-            elif mu == 0:
-                vals[~pos] = 1.0
-            else:
-                vals[~pos] = np.inf
-        out[small] = vals
+    out[small] = ive(mu, z[small])
+    if mu < 0:
+        out[z == 0] = np.inf  # ive returns NaN here
     if np.any(~small):
         out[~small] = _asymptotic_scaled(mu, z[~small])
 
     if not scaled:
         out = out * np.exp(z)
     return float(out[0]) if scalar else out
-
-
-def bessel_i_derivative_identity_check(mu: float, z: float, step: float = 1e-5) -> float:
-    """Residual of d/dz [z^-mu I_mu(z)] = z^-mu I_(mu+1)(z) by central difference.
-
-    The identity is exact; the returned residual is pure discretization and
-    rounding error, so it doubles as a cheap self-test of the evaluator.
-    """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    h = min(step, 0.5 * z)
-
-    def g(t):
-        return t ** (-mu) * bessel_i(mu, t)
-
-    fd = (g(z + h) - g(z - h)) / (2.0 * h)
-    rhs = z ** (-mu) * bessel_i(mu + 1.0, z)
-    return abs(fd - rhs)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -308,6 +309,122 @@ def test_frac_smoothness_quotient():
                 den = (abs(x - xp) / d) * d ** spec.alpha / measure_interval(space, Interval(x, d))
                 quants.append(num / den)
     assert max(quants) < 30.0
+
+
+# ---------------------------------------------------------------- mpmath
+
+
+def mp_angular(lam, p, x, y, t=0.0, odd=0):
+    """int_0^pi (x - y cos th)^odd sin(th)^(2 lam - 1) (x^2 + y^2 + t^2 - 2xy cos th)^(-p) dth.
+
+    mpmath quadrature at 30 digits, with x, y and t taken exactly.  The
+    denominator is formed as (x - y)^2 + t^2 + 2xy(1 - cos th), and the
+    interval is split geometrically from the peak width sqrt(D)/max(x, y).
+    """
+    with mpmath.workdps(30):
+        lam, p, x, y, t = (mpmath.mpf(v) for v in (lam, p, x, y, t))
+        d = (x - y) ** 2 + t * t
+
+        def f(th):
+            c = mpmath.cos(th)
+            return (x - y * c) ** odd * mpmath.sin(th) ** (2 * lam - 1) / (d + 2 * x * y * (1 - c)) ** p
+
+        pts = [mpmath.mpf(0)]
+        h = mpmath.sqrt(d) / max(x, y)
+        while h < 1:
+            pts.append(h)
+            h *= 4
+        return mpmath.quad(f, pts + [mpmath.pi])
+
+
+def mp_kernel(spec, x, y):
+    """The kernels from their defining angular integrals.
+
+    The fractional kernel is the heat subordination integral with the heat
+    kernel written as an angular integral, which turns the t-integral into
+    Gamma(nu) and leaves the same angular integral with exponent nu.
+    """
+    lam = spec.space.lam
+    if spec.kind == "poisson":
+        return 2 * lam * spec.t / math.pi * mp_angular(lam, lam + 1, x, y, spec.t)
+    if spec.kind in ("conj_poisson", "riesz"):
+        return -2 * lam / math.pi * mp_angular(lam, lam + 1, x, y, spec.t or 0.0, odd=1)
+    alpha = spec.alpha
+    nu = lam + 0.5 - alpha / 2
+    with mpmath.workdps(30):
+        c = 4 ** (1 - mpmath.mpf(alpha) / 2) * mpmath.gamma(nu) / (
+            2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(lam) * mpmath.gamma(alpha))
+        return c * mp_angular(lam, nu, x, y)
+
+
+@pytest.mark.parametrize(
+    "kind,lam,x,y,t,alpha",
+    [
+        ("poisson", 0.75, 1.0, 1.0, 1e-7, None),
+        ("poisson", 1.25, 1.0, 1.0 + 1e-8, 1e-9, None),
+        ("conj_poisson", 1.25, 1.0, 1.0 + 1e-8, 1e-9, None),
+        ("riesz", 0.75, 1.0, 1.0 + 1.5e-6, None, None),
+        ("fractional", 0.3, 1.0, 2.0, None, 1.5),
+        ("fractional", 0.3, 1.0, 1.05, None, 1.5),
+    ],
+)
+def test_kernels_near_diagonal_against_mpmath(kind, lam, x, y, t, alpha):
+    # points where angular quadrature and the octave-summed subordination
+    # integral were wrong by 1e-4 to 2e-2, or raised
+    spec = KernelSpec(kind, MeasureSpace(lam), t=t, alpha=alpha)
+    assert kernel_value(spec, x, y) == pytest.approx(float(mp_kernel(spec, x, y)), rel=1e-12, abs=0)
+
+
+def mp_conj_poisson_closed(lam, x, y, t):
+    """Q_t from the Landen closed forms at 50 digits, x, y and t taken exactly."""
+    with mpmath.workdps(50):
+        lam, x, y, t = (mpmath.mpf(v) for v in (lam, x, y, t))
+        a, b = x * x + y * y + t * t, 2 * x * y
+        s = mpmath.sqrt(((x - y) ** 2 + t * t) * (a + b))
+        r, k = b / (a + s), (a + s) / 2
+        beta = mpmath.beta(lam, 0.5)
+        j0 = k ** (-lam - 1) * beta * (1 - r * r) ** -2 * mpmath.hyp2f1(-0.5, lam - 1, lam + 0.5, r * r)
+        kk = k ** -lam * beta * mpmath.hyp2f1(lam, 0.5, lam + 0.5, r * r)
+        return -2 * lam / mpmath.pi * (x * j0 - y * (a * j0 - kk) / b)
+
+
+def mp_frac_closed(lam, alpha, x, y):
+    """K_alpha from its closed form at 50 digits, x and y taken exactly."""
+    with mpmath.workdps(50):
+        lam, alpha, x, y = (mpmath.mpf(v) for v in (lam, alpha, x, y))
+        hi, lo = max(x, y), min(x, y)
+        nu = lam + 0.5 - alpha / 2
+        z = (lo / hi) ** 2
+        c = 2 ** (1 - alpha) * mpmath.gamma(nu) / (mpmath.gamma(alpha) * mpmath.gamma(lam + 0.5))
+        return c * hi ** (-2 * nu) * (1 - z) ** (alpha - 1) * mpmath.hyp2f1(
+            alpha / 2, lam - 0.5 + alpha / 2, lam + 0.5, z)
+
+
+CONJ_POINTS = [
+    (1.0, 1.0, 1e-7), (1.0, 1.0 + 1e-8, 1e-9), (1.0, 1.0 + 1.5e-6, 1e-4),
+    (1.0, 1.1, 1e-3), (1.0, 2.0, 0.5), (2.0, 1.0, 0.1),
+    (1e-3, 2.0, 0.5), (3.0, 0.1, 0.5), (0.7, 0.75, 2.0),
+]
+FRAC_ALPHAS = [0.25, 0.5, 0.9, 0.999, 0.9999, 1.0, 1.0001, 1.001, 1.5, 1.7, 2.4]
+FRAC_GAPS = [1e-7, 1e-3, 0.3, -0.9]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.75, 1.25, 3.0])
+def test_reported_errors_cover_mpmath(lam):
+    # the error bars hold the rounding of the 2F1 arguments and hyp2f1's own
+    # error; the closed forms themselves are checked by the quadrature tests
+    space = MeasureSpace(lam)
+    cases = [(KernelSpec("conj_poisson", space, t=t), x, y, mp_conj_poisson_closed(lam, x, y, t))
+             for x, y, t in CONJ_POINTS]
+    x = 1.3
+    cases += [(KernelSpec("fractional", space, alpha=alpha), x, x * (1 + d),
+               mp_frac_closed(lam, alpha, x, x * (1 + d)))
+              for alpha in FRAC_ALPHAS if alpha < space.upper_dim for d in FRAC_GAPS]
+    for spec, x, y, ref in cases:
+        val, err = kernel_value(spec, x, y, with_error=True)
+        where = f"{spec.kind} alpha={spec.alpha} t={spec.t} x={x} y={y}"
+        assert abs(val - float(ref)) <= err, where
+        assert err <= 1e-6 * abs(val), where
 
 
 def test_kernel_value_dispatch():

@@ -6,18 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselkit.special import (
-    bessel_i,
-    bessel_i_derivative_identity_check,
-    log_gamma,
-    series_crossover,
-)
+from besselkit.special import bessel_i, log_gamma, series_crossover
 
 
 def mp_bessel_i(mu: float, z: float) -> float:
     """Extended-precision reference value (50 significant digits)."""
     with mpmath.workdps(50):
         return float(mpmath.besseli(mu, z))
+
+
+def bessel_i_derivative_identity_check(mu: float, z: float, step: float = 1e-5) -> float:
+    """Residual of d/dz [z^-mu I_mu(z)] = z^-mu I_(mu+1)(z) by central difference.
+
+    The identity is exact; the returned residual is pure discretization and
+    rounding error, so it doubles as a cheap self-test of the evaluator.
+    """
+    if z <= 0:
+        raise ValueError("z must be positive")
+    h = min(step, 0.5 * z)
+
+    def g(t):
+        return t ** (-mu) * bessel_i(mu, t)
+
+    fd = (g(z + h) - g(z - h)) / (2.0 * h)
+    rhs = z ** (-mu) * bessel_i(mu + 1.0, z)
+    return abs(fd - rhs)
 
 
 def test_half_integer_closed_form():
@@ -63,11 +76,15 @@ def test_scaled_matches_raw_and_survives_large_z(mu):
         raw = bessel_i(mu, z)
         sca = bessel_i(mu, z, scaled=True)
         assert sca == pytest.approx(raw * math.exp(-z), rel=1e-11)
-    # far beyond raw overflow
-    big = bessel_i(mu, 5000.0, scaled=True)
-    with mpmath.workdps(50):
-        ref = float(mpmath.besseli(mu, 5000) * mpmath.exp(-5000))
-    assert big == pytest.approx(ref, rel=1e-12)
+    # far beyond raw overflow, and where scipy's ive alone returns NaN
+    for z in (5000.0, 1e6, 1e10, 1e17):
+        big = bessel_i(mu, z, scaled=True)
+        with mpmath.workdps(50):
+            ref = float(mpmath.besseli(mu, z) * mpmath.exp(-z))
+        assert big == pytest.approx(ref, rel=1e-12), f"z={z}"
+    # z = 0 with a negative order: +inf by convention, not NaN
+    assert bessel_i(-0.3, 0.0) == math.inf
+    assert bessel_i(-0.3, 0.0, scaled=True) == math.inf
 
 
 def test_raw_overflow_signalled():
