@@ -37,7 +37,8 @@ Then P_t = (2 lam t / pi) J0, Q_t = -(2 lam / pi)(x J0 - y J1) and R = Q_0.
 The fractional kernel is one 2F1 in the same Landen variable (see
 ``frac_kernel``).  With ``with_error=True`` each kernel reports a bound made
 of hyp2f1's own error and the effect eps z |F'(z)| of rounding each 2F1
-argument, carried through the prefactors and the sum.
+argument, carried through the prefactors and the sum; the slope F' is
+evaluated only then.
 
 The heat kernel is evaluated in the fused overflow-safe form
 
@@ -118,8 +119,8 @@ _ARG = 8.0 * _EPS
 _FAR_FIELD = 0.5
 
 
-def _hyp2f1(a: float, b: float, c: float, z: np.ndarray):
-    """2F1(a, b; c; z) and its error bound.
+def _hyp2f1(a: float, b: float, c: float, z: np.ndarray, with_error: bool):
+    """2F1(a, b; c; z) and its error bound, or None without ``with_error``.
 
     The bound is hyp2f1's own error plus the argument rounding _ARG z |F'|,
     F' = (ab/c) 2F1(a+1, b+1; c+1; z).  Near z = 1 with c - a - b small but
@@ -127,28 +128,33 @@ def _hyp2f1(a: float, b: float, c: float, z: np.ndarray):
     1/|c - a - b|, and its own error grows like eps/|c - a - b|.
     """
     f = hyp2f1(a, b, c, z)
+    if not with_error:
+        return f, None
     slope = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
     gap = abs(c - a - b)
     rel = max(_REL, 5.0 * _EPS / gap) if gap else _REL
     return f, rel * np.abs(f) + _ARG * z * np.abs(slope)
 
 
-def _moments(lam: float, A: np.ndarray, B: np.ndarray, D: np.ndarray):
+def _moments(lam: float, A: np.ndarray, B: np.ndarray, D: np.ndarray, with_error: bool):
     """(J0, G, J0 error, G error, far) with D = A - B formed by the caller.
 
     G is J1 where ``far`` (B/A <= _FAR_FIELD) and K = A J0 - B J1 elsewhere.
-    Errors are those of the 2F1 factors, scaled by their prefactors.
+    Errors are those of the 2F1 factors, scaled by their prefactors; without
+    ``with_error`` they are left unset.
     """
     far = B <= _FAR_FIELD * A
     j0, g, e0, eg = (np.empty_like(A) for _ in range(4))
     if np.any(far):
         a, z = A[far], B[far] / A[far]
         p = lam + 1.0
-        f0, d0 = _hyp2f1(0.5 * p, 0.5 * (p + 1.0), lam + 0.5, z * z)
-        f1, d1 = _hyp2f1(0.5 * (p + 1.0), 0.5 * (p + 2.0), lam + 1.5, z * z)
+        f0, d0 = _hyp2f1(0.5 * p, 0.5 * (p + 1.0), lam + 0.5, z * z, with_error)
+        f1, d1 = _hyp2f1(0.5 * (p + 1.0), 0.5 * (p + 2.0), lam + 1.5, z * z, with_error)
         c0 = a ** -p * beta(0.5, lam)
         c1 = a ** -p * p * z * beta(1.5, lam)
-        j0[far], e0[far], g[far], eg[far] = c0 * f0, c0 * d0, c1 * f1, c1 * d1
+        j0[far], g[far] = c0 * f0, c1 * f1
+        if with_error:
+            e0[far], eg[far] = c0 * d0, c1 * d1
     near = ~far
     if np.any(near):
         a, b, d = A[near], B[near], D[near]
@@ -156,11 +162,13 @@ def _moments(lam: float, A: np.ndarray, B: np.ndarray, D: np.ndarray):
         r = b / (a + s)  # Landen variable
         k = 0.5 * (a + s)
         one_minus_z = (d + s) / (a + s) * (1.0 + r)  # 1 - r^2 without cancellation
-        f0, d0 = _hyp2f1(-0.5, lam - 1.0, lam + 0.5, r * r)
-        fk, dk = _hyp2f1(lam, 0.5, lam + 0.5, r * r)
+        f0, d0 = _hyp2f1(-0.5, lam - 1.0, lam + 0.5, r * r, with_error)
+        fk, dk = _hyp2f1(lam, 0.5, lam + 0.5, r * r, with_error)
         ck = k ** -lam * beta(lam, 0.5)
         c0 = ck / (k * one_minus_z ** 2)
-        j0[near], e0[near], g[near], eg[near] = c0 * f0, c0 * d0, ck * fk, ck * dk
+        j0[near], g[near] = c0 * f0, ck * fk
+        if with_error:
+            e0[near], eg[near] = c0 * d0, ck * dk
     return j0, g, e0, eg, far
 
 
@@ -176,7 +184,7 @@ def theta_moments(lam: float, A, B):
         raise ValueError("A and B must have matching shapes")
     if np.any(B <= 0) or np.any(A <= B):
         raise ValueError("need A > B > 0")
-    j0, g, e0, eg, far = _moments(lam, A, B, A - B)
+    j0, g, e0, eg, far = _moments(lam, A, B, A - B, True)
     j1 = np.where(far, g, (A * j0 - g) / B)
     err = e0 + np.where(far, eg, (A * e0 + eg) / B)
     return j0, j1, err
@@ -197,6 +205,14 @@ def _broadcast_xy(x, y):
     return x.astype(float), y.astype(float), scalar
 
 
+def _result(val, err, scalar: bool):
+    """What a kernel returns: the value, or (value, error) if err is not None."""
+    if scalar:
+        val = float(val[0])
+        err = None if err is None else float(err[0])
+    return val if err is None else (val, err)
+
+
 def heat_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     """Heat kernel W_t(x, y); exact formula, overflow-safe Bessel fusion."""
     if spec.kind != "heat":
@@ -207,23 +223,25 @@ def heat_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     z = x * y / (2.0 * t)
     pref = (0.5 / t) * np.exp(-((x - y) ** 2) / (4.0 * t)) * (x * y) ** (0.5 - lam)
     val = pref * bessel_i(lam - 0.5, z, scaled=True)
-    err = 1e-13 * np.abs(val)
-    if scalar:
-        val, err = float(val[0]), float(err[0])
-    return (val, err) if with_error else val
+    err = 1e-13 * np.abs(val) if with_error else None
+    return _result(val, err, scalar)
 
 
-def _poisson_family(lam: float, x, y, t: float, signed: bool):
-    """P_t (unsigned) or Q_t (signed) with its error; t = 0 gives R."""
-    j0, g, e0, eg, far = _moments(lam, x * x + y * y + t * t, 2.0 * x * y, (x - y) ** 2 + t * t)
+def _poisson_family(lam: float, x, y, t: float, signed: bool, with_error: bool):
+    """P_t (unsigned) or Q_t (signed) and its error (None without
+    ``with_error``); t = 0 gives R."""
+    j0, g, e0, eg, far = _moments(lam, x * x + y * y + t * t, 2.0 * x * y,
+                                  (x - y) ** 2 + t * t, with_error)
     if not signed:
         c = 2.0 * lam * t / math.pi
-        return c * j0, c * e0
+        return c * j0, c * e0 if with_error else None
     # x J0 - y J1; near the diagonal from K with (x - y)(x + y) - t^2 exact
     a = (x - y) * (x + y) - t * t
     m = np.where(far, x * j0 - y * g, (a * j0 + g) / (2.0 * x))
-    em = np.where(far, x * e0 + y * eg, (np.abs(a) * e0 + eg) / (2.0 * x))
     c = 2.0 * lam / math.pi
+    if not with_error:
+        return -c * m, None
+    em = np.where(far, x * e0 + y * eg, (np.abs(a) * e0 + eg) / (2.0 * x))
     return -c * m, c * em
 
 
@@ -232,10 +250,8 @@ def poisson_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     if spec.kind != "poisson":
         raise ValueError("spec.kind must be 'poisson'")
     x, y, scalar = _broadcast_xy(x, y)
-    val, err = _poisson_family(spec.space.lam, x, y, spec.t, signed=False)
-    if scalar:
-        val, err = float(val[0]), float(err[0])
-    return (val, err) if with_error else val
+    val, err = _poisson_family(spec.space.lam, x, y, spec.t, False, with_error)
+    return _result(val, err, scalar)
 
 
 def conj_poisson_kernel(spec: KernelSpec, x, y, with_error: bool = False):
@@ -243,10 +259,8 @@ def conj_poisson_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     if spec.kind != "conj_poisson":
         raise ValueError("spec.kind must be 'conj_poisson'")
     x, y, scalar = _broadcast_xy(x, y)
-    val, err = _poisson_family(spec.space.lam, x, y, spec.t, signed=True)
-    if scalar:
-        val, err = float(val[0]), float(err[0])
-    return (val, err) if with_error else val
+    val, err = _poisson_family(spec.space.lam, x, y, spec.t, True, with_error)
+    return _result(val, err, scalar)
 
 
 def riesz_kernel(spec: KernelSpec, x, y, with_error: bool = False):
@@ -261,10 +275,8 @@ def riesz_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     x, y, scalar = _broadcast_xy(x, y)
     if np.any(np.abs(x - y) < RIESZ_DIAGONAL_GUARD * x):
         raise ValueError("arguments too close to the diagonal; use the PV machinery")
-    val, err = _poisson_family(spec.space.lam, x, y, 0.0, signed=True)
-    if scalar:
-        val, err = float(val[0]), float(err[0])
-    return (val, err) if with_error else val
+    val, err = _poisson_family(spec.space.lam, x, y, 0.0, True, with_error)
+    return _result(val, err, scalar)
 
 
 # -- fractional kernel -------------------------------------------------------
@@ -295,14 +307,12 @@ def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
         log_gamma(nu) - log_gamma(alpha) - log_gamma(lam + 0.5)) * hi ** (-2.0 * nu)
     if alpha < 1.0:
         pref = pref * ((hi - lo) * (hi + lo) / (hi * hi)) ** (alpha - 1.0)
-        f, df = _hyp2f1(0.5 * alpha, lam - 0.5 + 0.5 * alpha, lam + 0.5, z)
+        f, df = _hyp2f1(0.5 * alpha, lam - 0.5 + 0.5 * alpha, lam + 0.5, z, with_error)
     else:
-        f, df = _hyp2f1(nu, 1.0 - 0.5 * alpha, lam + 0.5, z)
+        f, df = _hyp2f1(nu, 1.0 - 0.5 * alpha, lam + 0.5, z, with_error)
     val = pref * f
-    err = pref * df
-    if scalar:
-        val, err = float(val[0]), float(err[0])
-    return (val, err) if with_error else val
+    err = pref * df if with_error else None
+    return _result(val, err, scalar)
 
 
 def frac_kernel_x_derivative(spec: KernelSpec, x: float, y: float) -> float:

@@ -3,7 +3,10 @@
 Semigroup and fractional applications are absolutely convergent integrals
 over the (compact) support of the input; the Riesz transform at points of
 the support is a principal value and routes through the symmetric-excision
-integrator.  Commutators always integrate the fused form
+integrator.  Every integral starts from the input's nodes (and the
+symbol's) as breakpoints, so the integrator begins on the interpolant's own
+affine pieces instead of searching for its kinks.  Commutators always
+integrate the fused form
 
     int (b(x) - b(y)) K(x, y) f(y) dm(y),
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .kernels import RIESZ_DIAGONAL_GUARD, KernelSpec, kernel_value
 from .measure import GridCumulative, GridFunction, Interval, MeasureSpace, measure_interval
-from .quadrature import IntegralResult, QuadConfig, integrate_adaptive, integrate_pv
+from .quadrature import QuadConfig, integrate_adaptive, integrate_pv
 
 __all__ = [
     "OperatorSpec",
@@ -102,7 +105,7 @@ def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     def integrand(y):
         return kernel_value(k, x, y) * f(y) * y ** w
 
-    res = integrate_adaptive(integrand, lo, hi, k.quad)
+    res = integrate_adaptive(integrand, lo, hi, k.quad, f.nodes)
     if not res.converged:
         raise ArithmeticError("semigroup application did not converge")
     return res.value
@@ -120,9 +123,9 @@ def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
         return kernel_value(k, x, y) * f(y) * y ** w
 
     if lo < x < hi:
-        res = integrate_pv(integrand, x, lo, hi, spec.pv)
+        res = integrate_pv(integrand, x, lo, hi, spec.pv, f.nodes)
     else:
-        res = integrate_adaptive(integrand, lo, hi, k.quad)
+        res = integrate_adaptive(integrand, lo, hi, k.quad, f.nodes)
         if not res.converged:
             raise ArithmeticError("riesz application did not converge")
     return res.value
@@ -139,14 +142,8 @@ def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     def integrand(y):
         return kernel_value(k, x, y) * f(y) * y ** w
 
-    if lo < x < hi:
-        # split at the (integrable) diagonal so panels grade into it
-        left = integrate_adaptive(integrand, lo, x, k.quad)
-        right = integrate_adaptive(integrand, x, hi, k.quad)
-        res = IntegralResult(left.value + right.value, left.error + right.error,
-                             left.converged and right.converged)
-    else:
-        res = integrate_adaptive(integrand, lo, hi, k.quad)
+    # x as a breakpoint: panels grade into the (integrable) diagonal
+    res = integrate_adaptive(integrand, lo, hi, k.quad, np.append(f.nodes, x))
     if not res.converged:
         raise ArithmeticError("fractional application did not converge")
     return res.value
@@ -167,31 +164,24 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     lo, hi = _support_window(f)
     w = 2.0 * k.space.lam
     bx = b(x)
+    # x as a breakpoint too: panels grade into a fractional diagonal
+    breaks = np.concatenate([f.nodes, b.nodes, [x]])
 
     def integrand(y):
         return (bx - b(y)) * kernel_value(k, x, y) * f(y) * y ** w
 
-    inside = lo < x < hi
-    if k.kind == "riesz" and inside:
+    if k.kind == "riesz" and lo < x < hi:
         guard = 4.0 * RIESZ_DIAGONAL_GUARD * x
         pieces = []
         if x - guard > lo:
-            pieces.append(integrate_adaptive(integrand, lo, x - guard, k.quad))
+            pieces.append(integrate_adaptive(integrand, lo, x - guard, k.quad, breaks))
         if x + guard < hi:
-            pieces.append(integrate_adaptive(integrand, x + guard, hi, k.quad))
+            pieces.append(integrate_adaptive(integrand, x + guard, hi, k.quad, breaks))
         value = sum(p.value for p in pieces)
         if not all(p.converged for p in pieces):
             raise ArithmeticError("commutator quadrature did not converge")
         return value
-    if k.kind == "riesz":
-        res = integrate_adaptive(integrand, lo, hi, k.quad)
-    elif k.kind == "fractional" and inside:
-        left = integrate_adaptive(integrand, lo, x, k.quad)
-        right = integrate_adaptive(integrand, x, hi, k.quad)
-        res = IntegralResult(left.value + right.value, left.error + right.error,
-                             left.converged and right.converged)
-    else:
-        res = integrate_adaptive(integrand, lo, hi, k.quad)
+    res = integrate_adaptive(integrand, lo, hi, k.quad, breaks)
     if not res.converged:
         raise ArithmeticError("commutator quadrature did not converge")
     return res.value
@@ -278,7 +268,9 @@ def frac_integral_Igamma(
             u = x + sign * r
             return f(u) * space.ball_measure(x, r) ** (gamma - 1.0) * u ** w * r / (gamma * s)
 
-        pieces.append(integrate_adaptive(integrand, r0 ** gamma, r1 ** gamma, cfg))
+        # the nodes on this side, as breakpoints in s
+        breaks = np.abs(f.nodes[np.sign(f.nodes - x) == sign] - x) ** gamma
+        pieces.append(integrate_adaptive(integrand, r0 ** gamma, r1 ** gamma, cfg, breaks))
     if not all(p.converged for p in pieces):
         raise ArithmeticError("fractional integral did not converge")
     return sum(p.value for p in pieces)

@@ -1,18 +1,20 @@
-"""Adaptive 1-d integration: finite intervals, the half-line, principal values.
+"""Adaptive 1-d integration: finite intervals and principal values.
 
 Panel rule: paired Gauss-Legendre evaluations (10 and 21 nodes) whose
-difference drives bisection.  Nodes are interior, so integrable endpoint
-singularities never get evaluated at the endpoint; bisection grades the
-mesh geometrically into them.  Integrands must accept numpy arrays.
+difference drives bisection.  Refinement is level-synchronous: the panels
+start at the caller's known breakpoints, every round evaluates all active
+panels in batched integrand calls, freezes those whose errors are already
+small enough and bisects the rest.  Nodes are interior, so integrable
+endpoint singularities never get evaluated at the endpoint; bisection
+grades the mesh geometrically into them.  Integrands must accept numpy
+arrays.
 
-Half-line integrals sum dyadic octaves with geometric tail extrapolation;
-principal values use symmetric excision shrunk along a configured epsilon
+Principal values use symmetric excision shrunk along a configured epsilon
 ladder and Richardson (Neville) extrapolation to zero excision width.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -24,7 +26,6 @@ __all__ = [
     "QuadConfig",
     "IntegralResult",
     "integrate_adaptive",
-    "integrate_halfline",
     "integrate_pv",
 ]
 
@@ -60,137 +61,97 @@ class IntegralResult(NamedTuple):
     converged: bool
 
 
-@lru_cache(maxsize=64)
-def _gl_rule(n: int):
-    x, w = roots_legendre(n)
-    return x, w
+# Points per integrand call: rounds of many panels are evaluated in chunks
+# of whole panels of at most this many points, which bounds the memory of
+# one call whatever the panel count.
+_CHUNK = 4096
+# Panels evaluated per integral at most; an integrand that keeps every panel
+# busy stops here with its error estimate as it stands.
+_PANEL_BUDGET = 400_000
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """(value, error) on one panel from the GL 21/10 pair."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x10, w10 = _gl_rule(10)
-    x21, w21 = _gl_rule(21)
-    y = f(mid + half * np.concatenate([x10, x21]))
-    y = np.asarray(y, dtype=float)
-    v10 = half * float(np.dot(w10, y[:10]))
-    v21 = half * float(np.dot(w21, y[10:]))
-    return v21, abs(v21 - v10)
+@lru_cache(maxsize=1)
+def _gl_pair():
+    """Nodes of the GL 10 and GL 21 rules side by side, and their weights."""
+    x10, w10 = roots_legendre(10)
+    x21, w21 = roots_legendre(21)
+    return np.concatenate([x10, x21]), w10, w21
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error) of every panel (lo, hi) from the GL 21/10 pair.
+
+    Whole panels go to ``f`` in calls of at most _CHUNK points; the values
+    and errors of a call's panels are two matvecs on its point values.
+    """
+    nodes, w10, w21 = _gl_pair()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    step = _CHUNK // nodes.size
+    val = np.empty(lo.size)
+    err = np.empty(lo.size)
+    for i in range(0, lo.size, step):
+        j = min(i + step, lo.size)
+        y = f((mid[i:j, None] + half[i:j, None] * nodes).ravel())
+        y = np.asarray(y, dtype=float).reshape(j - i, nodes.size)
+        v10 = half[i:j] * (y[:, :10] @ w10)
+        val[i:j] = half[i:j] * (y[:, 10:] @ w21)
+        err[i:j] = np.abs(val[i:j] - v10)
+    return val, err
 
 
 def integrate_adaptive(
-    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig()
+    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
 ) -> IntegralResult:
     """Globally adaptive integral of f over (a, b).
 
-    Bisects the panel with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |value|).  Panels that reach
-    ``max_depth`` stop subdividing; if the tolerance is still unmet the
-    result is returned with ``converged=False``.
+    The panels start at (a, b) cut at the ``breaks`` that lie inside it:
+    kinks and other known breakpoints of f, which bisection would otherwise
+    have to find.  Each round evaluates all active panels at once.  The
+    panels with the smallest errors are frozen while their errors, with
+    those frozen before, fit half of max(abs_tol, rel_tol * |value|); the
+    others are bisected and make the next round.  It stops once the summed
+    estimate meets the tolerance.  Panels that reach ``max_depth`` stop
+    subdividing, and after _PANEL_BUDGET panels all do; if the tolerance is
+    still unmet the result is returned with ``converged=False``.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
-    v, e = _panel(f, a, b)
-    # heap entries: (-error, a, b, value, error, depth)
-    heap = [(-e, a, b, v, e, 0)]
-    total_v, total_e = v, e
+    edges = np.array([a, b], dtype=float)
+    if breaks is not None:
+        inner = np.asarray(breaks, dtype=float).ravel()
+        edges = np.unique(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
+    lo, hi = edges[:-1], edges[1:]
+    depth = 0
+    frozen_v = frozen_e = 0.0
     exhausted = False
-    for _ in range(200_000):
+    used = 0
+    while True:
+        v, e = _panels(f, lo, hi)
+        used += lo.size
+        total_v = frozen_v + float(np.sum(v))
+        total_e = frozen_e + float(np.sum(e))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_v))
-        if total_e <= tol or not heap:
+        if total_e <= tol:
             break
-        _, pa, pb, pv, pe, depth = heapq.heappop(heap)
+        # smallest errors first: freeze the prefix that fits tol/2
+        order = np.argsort(e)
+        n_freeze = int(np.searchsorted(frozen_e + np.cumsum(e[order]), 0.5 * tol, side="right"))
+        split = order[n_freeze:]
         if depth >= cfg.max_depth:
             exhausted = True
-            # nothing further to gain from this panel; drop it from the queue
-            if not heap:
-                break
-            continue
-        pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
-        total_v += v1 + v2 - pv
-        total_e += e1 + e2 - pe
-        heapq.heappush(heap, (-e1, pa, pm, v1, e1, depth + 1))
-        heapq.heappush(heap, (-e2, pm, pb, v2, e2, depth + 1))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_v))
+            split = split[:0]
+        # within the budget, the largest errors are bisected
+        split = split[split.size - min(split.size, (_PANEL_BUDGET - used) // 2):]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        frozen_v += float(np.sum(v[keep]))
+        frozen_e += float(np.sum(e[keep]))
+        if split.size == 0:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        depth += 1
     converged = total_e <= tol or (not exhausted and total_e <= 4 * tol)
-    return IntegralResult(total_v, total_e, converged)
-
-
-def integrate_halfline(f: Callable, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
-    """Integral of f over (0, inf) by dyadic octave summation.
-
-    Octaves [2^k, 2^(k+1)] are integrated adaptively and summed outward in
-    both directions until contributions fall below the absolute tolerance;
-    a geometric extrapolation of the outward tail is added and its residual
-    folded into the error.  Persistent non-decay flags the result.
-    """
-    inner = QuadConfig(abs_tol=cfg.abs_tol * 1e-2, rel_tol=cfg.rel_tol * 1e-1,
-                       max_depth=min(cfg.max_depth, 24))
-    total_v = 0.0
-    total_e = 0.0
-    converged = True
-
-    def octave(k: int) -> IntegralResult:
-        return integrate_adaptive(f, 2.0 ** k, 2.0 ** (k + 1), inner)
-
-    # upward sweep
-    prev = None
-    k = 0
-    up_vals = []
-    while k <= 420:
-        res = octave(k)
-        total_v += res.value
-        total_e += res.error
-        up_vals.append(res.value)
-        if abs(res.value) <= 0.01 * cfg.abs_tol and (prev is None or abs(prev) <= 0.01 * cfg.abs_tol):
-            break
-        prev = res.value
-        k += 1
-    else:
-        converged = False
-    if len(up_vals) >= 3 and abs(up_vals[-2]) > 0:
-        rho = abs(up_vals[-1]) / abs(up_vals[-2])
-        rho_prev = abs(up_vals[-2]) / abs(up_vals[-3]) if abs(up_vals[-3]) > 0 else rho
-        if rho >= 0.98:
-            converged = False  # decay too slow to certify a tail
-        elif rho > 0:
-            tail = abs(up_vals[-1]) * rho / (1.0 - rho)
-            if abs(rho - rho_prev) < 0.05:
-                total_v += np.sign(up_vals[-1]) * tail
-                total_e += tail * (3.0 * abs(rho - rho_prev) + 0.02)
-            else:
-                total_e += tail
-
-    # downward sweep toward 0
-    prev = None
-    k = -1
-    down_vals = []
-    while k >= -420:
-        res = octave(k)
-        total_v += res.value
-        total_e += res.error
-        down_vals.append(res.value)
-        if abs(res.value) <= 0.01 * cfg.abs_tol and (prev is None or abs(prev) <= 0.01 * cfg.abs_tol):
-            break
-        prev = res.value
-        k -= 1
-    else:
-        converged = False
-    if len(down_vals) >= 3 and abs(down_vals[-2]) > 0:
-        rho = abs(down_vals[-1]) / abs(down_vals[-2])
-        rho_prev = abs(down_vals[-2]) / abs(down_vals[-3]) if abs(down_vals[-3]) > 0 else rho
-        if rho >= 0.98:
-            converged = False
-        elif rho > 0:
-            tail = abs(down_vals[-1]) * rho / (1.0 - rho)
-            if abs(rho - rho_prev) < 0.05:
-                total_v += np.sign(down_vals[-1]) * tail
-                total_e += tail * (3.0 * abs(rho - rho_prev) + 0.02)
-            else:
-                total_e += tail
-
     return IntegralResult(total_v, total_e, converged)
 
 
@@ -211,6 +172,7 @@ def integrate_pv(
     a: float,
     b: float,
     cfg: QuadConfig = QuadConfig(),
+    breaks=None,
 ) -> IntegralResult:
     """Principal value of ∫_a^b f around one interior odd-type singularity.
 
@@ -218,7 +180,8 @@ def integrate_pv(
     the excised integral is then a smooth (odd-power) function of h, and the
     configured epsilon ladder feeds a Neville extrapolation to h = 0.  A
     non-Cauchy extrapolation sequence raises ValueError: the singularity is
-    not principal-value integrable.
+    not principal-value integrable.  ``breaks`` are passed on to every
+    excised integral.
     """
     s = singular_point
     if not (a < s < b):
@@ -230,8 +193,8 @@ def integrate_pv(
     vals = np.empty(hs.size)
     errs = np.empty(hs.size)
     for j, h in enumerate(hs):
-        left = integrate_adaptive(f, a, s - h, inner)
-        right = integrate_adaptive(f, s + h, b, inner)
+        left = integrate_adaptive(f, a, s - h, inner, breaks)
+        right = integrate_adaptive(f, s + h, b, inner, breaks)
         vals[j] = left.value + right.value
         errs[j] = left.error + right.error
 

@@ -17,7 +17,8 @@ from besselkit.kernels import (
     theta_moments,
 )
 from besselkit.measure import Interval, MeasureSpace, measure_interval
-from besselkit.quadrature import QuadConfig, integrate_halfline
+from besselkit.quadrature import QuadConfig
+from halfline import integrate_halfline
 
 SP1 = MeasureSpace(1.0)
 
@@ -425,6 +426,51 @@ def test_reported_errors_cover_mpmath(lam):
         where = f"{spec.kind} alpha={spec.alpha} t={spec.t} x={x} y={y}"
         assert abs(val - float(ref)) <= err, where
         assert err <= 1e-6 * abs(val), where
+
+
+# (kind, parameters, x, y, value, error bar) at lam = 0.75: both routes of
+# the Poisson family and both 2F1 forms of the fractional kernel.
+PINNED_ERRORS = [
+    ("poisson", dict(t=0.2), 1.0, 1.3, 0.4029122487298988, 4.0331523009913685e-14),
+    ("poisson", dict(t=0.2), 0.2, 3.0, 0.00490032942808613, 4.901819223729085e-16),
+    ("conj_poisson", dict(t=0.05), 1.0, 1.01, 0.382710804587318, 2.4023779783809343e-13),
+    ("conj_poisson", dict(t=0.05), 0.3, 2.5, 0.0056400017455281864, 3.4303503583843097e-15),
+    ("riesz", {}, 1.0, 1.2, 0.9264938805776698, 2.1426019526543353e-13),
+    ("riesz", {}, 1.0, 4.0, 0.003854563787102285, 2.4453259367079353e-15),
+    ("fractional", dict(alpha=0.6), 1.0, 1.1, 2.039766148407738, 2.0537593643484775e-13),
+    ("fractional", dict(alpha=1.4), 1.0, 0.7, 1.652894444582348, 1.6560345908942533e-13),
+]
+
+
+def test_error_flag_leaves_values_alone_and_halves_hyp2f1_calls(monkeypatch):
+    # without with_error the slope 2F1 behind the error bar is not evaluated;
+    # the values stay bitwise the same and the bars keep their pinned sizes
+    import besselkit.kernels as kernels
+
+    calls = []
+    real = kernels.hyp2f1
+
+    def counted(a, b, c, z):
+        calls.append(np.size(z))
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(kernels, "hyp2f1", counted)
+    space = MeasureSpace(0.75)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.1, 3.0, 300)
+    # |y - x|/x from 1e-5 (outside the Riesz guard) to about 20
+    y = x * np.exp(rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-5.0, 0.5, 300))
+    for kind, params, x0, y0, value, error in PINNED_ERRORS:
+        spec = KernelSpec(kind, space, **params)
+        calls.clear()
+        plain = kernel_value(spec, x, y)
+        n_plain = len(calls)
+        val, err = kernel_value(spec, x, y, with_error=True)
+        assert len(calls) == 3 * n_plain
+        assert np.array_equal(plain, val)
+        assert np.all(err > 0)
+        assert kernel_value(spec, x0, y0) == value
+        assert kernel_value(spec, x0, y0, with_error=True) == pytest.approx((value, error), rel=1e-12)
 
 
 def test_kernel_value_dispatch():
