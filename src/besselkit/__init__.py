@@ -4,7 +4,7 @@ Layers, bottom up:
 
 - ``measure``    -- the measure space, intervals, grids, exact grid integrals
 - ``special``    -- modified Bessel I_mu and log-Gamma
-- ``quadrature`` -- adaptive / half-line / principal-value integration
+- ``quadrature`` -- adaptive and principal-value integration
 - ``kernels``    -- heat, Poisson, conjugate-Poisson, Riesz and fractional kernels
 - ``operators``  -- semigroups, singular and fractional integrals, commutators,
                     maximal functions

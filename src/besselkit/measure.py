@@ -1,6 +1,6 @@
 """Half-line measure space (R+, |.|, x^(2*lambda) dx): intervals, volumes, grids.
 
-Everything downstream (kernels, operators, norm estimators) runs on top of
+Everything downstream (kernels, operators, maximal functions) runs on top of
 the weighted measure m(dy) = y^(2*lambda) dy.  Ball volumes have a closed
 form, so interval measures, grid integrals of piecewise interpolants and
 mean values are all computed exactly (up to float rounding) here.

@@ -1,9 +1,11 @@
 """Operators: kernels applied to functions, commutators, maximal functions.
 
 Semigroup and fractional applications are absolutely convergent integrals
-over the (compact) support of the input; the Riesz transform at points of
-the support is a principal value and routes through the symmetric-excision
-integrator.  Every integral starts from the input's nodes (and the
+over the (compact) support of the input; fractional ones are taken on each
+side of x in a power of |y - x| that cancels the diagonal growth.  The Riesz
+transform at points of the support is a principal value: the kernel's even
+log singularity is subtracted in closed form and the rest goes to the
+folded integrator.  Every integral starts from the input's nodes (and the
 symbol's) as breakpoints, so the integrator begins on the interpolant's own
 affine pieces instead of searching for its kinks.  Commutators always
 integrate the fused form
@@ -28,7 +30,7 @@ import numpy as np
 
 from .kernels import RIESZ_DIAGONAL_GUARD, KernelSpec, kernel_value
 from .measure import GridCumulative, GridFunction, Interval, MeasureSpace, measure_interval
-from .quadrature import QuadConfig, integrate_adaptive, integrate_pv
+from .quadrature import IntegralResult, QuadConfig, integrate_adaptive, integrate_pv
 
 __all__ = [
     "OperatorSpec",
@@ -111,8 +113,27 @@ def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     return res.value
 
 
+def _outside_band(g, x: float):
+    """g with arguments inside the band |y - x| < 4 RIESZ_DIAGONAL_GUARD x,
+    which the Riesz kernel refuses, moved to the band's nearer edge.  For an
+    integrand bounded across x this costs O(band^2), and its odd part keeps
+    cancelling in a folded integral."""
+    band = 4.0 * RIESZ_DIAGONAL_GUARD * x
+
+    def clamped(y):
+        return g(np.where(np.abs(y - x) < band, np.where(y < x, x - band, x + band), y))
+
+    return clamped
+
+
 def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """Riesz transform of f at x: principal value when x sits in supp f."""
+    """Riesz transform of f at x: principal value when x sits in supp f.
+
+    Inside the support the kernel's even log part is taken out in closed
+    form: R(x, y) y^(2 lam) = 1/(pi (y - x)) + (lam/(pi x)) log|y - x| +
+    bounded, so the PV integrand F(y) - c log|y - x|, c = lam f(x)/(pi x),
+    is an odd pole plus a bounded part, and c ∫ log|y - x| dy is added back.
+    """
     k = spec.kernel
     if k.kind != "riesz":
         raise ValueError("apply_riesz expects the riesz kernel")
@@ -122,28 +143,56 @@ def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     def integrand(y):
         return kernel_value(k, x, y) * f(y) * y ** w
 
-    if lo < x < hi:
-        res = integrate_pv(integrand, x, lo, hi, spec.pv, f.nodes)
-    else:
+    if not lo < x < hi:
         res = integrate_adaptive(integrand, lo, hi, k.quad, f.nodes)
         if not res.converged:
             raise ArithmeticError("riesz application did not converge")
-    return res.value
+        return res.value
+    c = k.space.lam * f(x) / (math.pi * x)
+    subtracted = _outside_band(lambda y: integrand(y) - c * np.log(np.abs(y - x)), x)
+    res = integrate_pv(subtracted, x, lo, hi, spec.pv, f.nodes)
+    return res.value + c * sum(L * math.log(L) - L for L in (x - lo, hi - x))
+
+
+def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
+            nodes: np.ndarray) -> IntegralResult:
+    """∫_lo^hi g(u, r) du with r = |u - x|, each side of x in s = r^gamma.
+
+    The Jacobian r^(1 - gamma)/gamma cancels an r^(gamma - 1) growth of g at
+    the diagonal, and r never comes from rounding x - u.  The nodes on each
+    side are its breakpoints in s.
+    """
+    pieces = []
+    for sign, r0, r1 in ((-1.0, max(x - hi, 0.0), x - lo), (1.0, max(lo - x, 0.0), hi - x)):
+        if r1 <= r0:
+            continue
+
+        def integrand(s, sign=sign):
+            r = s ** (1.0 / gamma)
+            return g(x + sign * r, r) * r / (gamma * s)
+
+        breaks = np.abs(nodes[np.sign(nodes - x) == sign] - x) ** gamma
+        pieces.append(integrate_adaptive(integrand, r0 ** gamma, r1 ** gamma, cfg, breaks))
+    return IntegralResult(sum(p.value for p in pieces), sum(p.error for p in pieces),
+                          all(p.converged for p in pieces))
 
 
 def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """Fractional integral of f at x; integrable diagonal, no PV needed."""
+    """Fractional integral of f at x; integrable diagonal, no PV needed.
+
+    K_a(x, y) grows like |x - y|^(a - 1) for a < 1, so each side of x is
+    integrated in s = |y - x|^min(a, 1), where the integrand is bounded.
+    """
     k = spec.kernel
     if k.kind != "fractional":
         raise ValueError("apply_frac expects the fractional kernel")
     lo, hi = _support_window(f)
     w = 2.0 * k.space.lam
 
-    def integrand(y):
+    def integrand(y, r):
         return kernel_value(k, x, y) * f(y) * y ** w
 
-    # x as a breakpoint: panels grade into the (integrable) diagonal
-    res = integrate_adaptive(integrand, lo, hi, k.quad, np.append(f.nodes, x))
+    res = _radial(integrand, x, lo, hi, min(k.alpha, 1.0), k.quad, f.nodes)
     if not res.converged:
         raise ArithmeticError("fractional application did not converge")
     return res.value
@@ -153,9 +202,8 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     """[b, T] f(x) = ∫ (b(x) - b(y)) K(x, y) f(y) dm(y), fused form.
 
     For the Riesz kernel the symbol difference reduces the diagonal to an
-    integrable singularity; a band of relative width ~4e-6 around x (inside
-    the kernel's own diagonal guard) is excised, which for a grid-backed
-    (locally Lipschitz) symbol contributes O(band width) and is ignored.
+    integrable singularity, and the integrand is held at its value on the
+    edge of the band around x that the kernel refuses (``_outside_band``).
     """
     k = spec.kernel
     b = spec.symbol
@@ -170,17 +218,8 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     def integrand(y):
         return (bx - b(y)) * kernel_value(k, x, y) * f(y) * y ** w
 
-    if k.kind == "riesz" and lo < x < hi:
-        guard = 4.0 * RIESZ_DIAGONAL_GUARD * x
-        pieces = []
-        if x - guard > lo:
-            pieces.append(integrate_adaptive(integrand, lo, x - guard, k.quad, breaks))
-        if x + guard < hi:
-            pieces.append(integrate_adaptive(integrand, x + guard, hi, k.quad, breaks))
-        value = sum(p.value for p in pieces)
-        if not all(p.converged for p in pieces):
-            raise ArithmeticError("commutator quadrature did not converge")
-        return value
+    if k.kind == "riesz":
+        integrand = _outside_band(integrand, x)
     res = integrate_adaptive(integrand, lo, hi, k.quad, breaks)
     if not res.converged:
         raise ArithmeticError("commutator quadrature did not converge")
@@ -255,25 +294,14 @@ def frac_integral_Igamma(
         raise ValueError("need 0 < gamma < 1")
     lo, hi = _support_window(f)
     w = 2.0 * space.lam
-    pieces = []
-    # Each side of x is integrated in s = r^gamma, r = |u - x|: the Jacobian
-    # r^(1 - gamma)/gamma cancels the r^(gamma - 1) growth of the measure
-    # factor, and r never comes from rounding x - u.
-    for sign, r0, r1 in ((-1.0, max(x - hi, 0.0), x - lo), (1.0, max(lo - x, 0.0), hi - x)):
-        if r1 <= r0:
-            continue
 
-        def integrand(s, sign=sign):
-            r = s ** (1.0 / gamma)
-            u = x + sign * r
-            return f(u) * space.ball_measure(x, r) ** (gamma - 1.0) * u ** w * r / (gamma * s)
+    def integrand(u, r):
+        return f(u) * space.ball_measure(x, r) ** (gamma - 1.0) * u ** w
 
-        # the nodes on this side, as breakpoints in s
-        breaks = np.abs(f.nodes[np.sign(f.nodes - x) == sign] - x) ** gamma
-        pieces.append(integrate_adaptive(integrand, r0 ** gamma, r1 ** gamma, cfg, breaks))
-    if not all(p.converged for p in pieces):
+    res = _radial(integrand, x, lo, hi, gamma, cfg, f.nodes)
+    if not res.converged:
         raise ArithmeticError("fractional integral did not converge")
-    return sum(p.value for p in pieces)
+    return res.value
 
 
 def oscillation_family(space: MeasureSpace, g: GridFunction):

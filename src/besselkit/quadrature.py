@@ -9,13 +9,15 @@ endpoint singularities never get evaluated at the endpoint; bisection
 grades the mesh geometrically into them.  Integrands must accept numpy
 arrays.
 
-Principal values use symmetric excision shrunk along a configured epsilon
-ladder and Richardson (Neville) extrapolation to zero excision width.
+Principal values are folded: the integrand's two sides of the singular
+point are summed at equal distances, which cancels an odd 1/(x - s) part
+exactly and leaves an ordinary integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -30,29 +32,17 @@ __all__ = [
 ]
 
 
-def _default_pv_eps() -> tuple[float, ...]:
-    return tuple(0.25 * 2.0 ** (-j) for j in range(7))
-
-
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and ladder parameters shared by the integrators.
-
-    ``pv_eps_sequence`` holds decreasing excision half-widths *relative to*
-    the distance from the singular point to the nearest interval endpoint.
-    """
+    """Tolerances and the bisection depth limit shared by the integrators."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_depth: int = 60
-    pv_eps_sequence: tuple[float, ...] = field(default_factory=_default_pv_eps)
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        eps = np.asarray(self.pv_eps_sequence, dtype=float)
-        if eps.size < 3 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("pv_eps_sequence must be >= 3 strictly decreasing positives")
 
 
 class IntegralResult(NamedTuple):
@@ -112,7 +102,8 @@ def integrate_adaptive(
     others are bisected and make the next round.  It stops once the summed
     estimate meets the tolerance.  Panels that reach ``max_depth`` stop
     subdividing, and after _PANEL_BUDGET panels all do; if the tolerance is
-    still unmet the result is returned with ``converged=False``.
+    still unmet, or the total is not finite, the result is returned with
+    ``converged=False``.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
@@ -151,19 +142,9 @@ def integrate_adaptive(
         mid = 0.5 * (lo[split] + hi[split])
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         depth += 1
-    converged = total_e <= tol or (not exhausted and total_e <= 4 * tol)
+    # an inf total makes tol inf too: only a finite total can meet it
+    converged = math.isfinite(total_v) and (total_e <= tol or (not exhausted and total_e <= 4 * tol))
     return IntegralResult(total_v, total_e, converged)
-
-
-def _neville_at_zero(h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of y(h) to h = 0; returns (limit, residual)."""
-    t = y.astype(float).copy()
-    last_corr = np.inf
-    for m in range(1, h.size):
-        for i in range(h.size - m):
-            t[i] = t[i + 1] + (t[i + 1] - t[i]) * h[i + m] / (h[i] - h[i + m])
-        last_corr = abs(t[1] - t[0]) if h.size - m >= 2 else last_corr
-    return float(t[0]), float(last_corr)
 
 
 def integrate_pv(
@@ -176,38 +157,27 @@ def integrate_pv(
 ) -> IntegralResult:
     """Principal value of ∫_a^b f around one interior odd-type singularity.
 
-    Symmetric excision (s - h, s + h) cancels the leading 1/(x - s) part;
-    the excised integral is then a smooth (odd-power) function of h, and the
-    configured epsilon ladder feeds a Neville extrapolation to h = 0.  A
-    non-Cauchy extrapolation sequence raises ValueError: the singularity is
-    not principal-value integrable.  ``breaks`` are passed on to every
-    excised integral.
+    With w = min(s - a, b - s), the window (s - w, s + w) is folded onto
+    ∫_0^w (f(s + u) + f(s - u)) du, where a 1/(x - s) part cancels exactly;
+    the rest of the longer side is integrated plainly.  The ``breaks`` are
+    reflected to |break - s| for the folded integral.  Raises ValueError if
+    either integral does not converge: the singularity is then not
+    principal-value integrable (or the budget is too small).
     """
     s = singular_point
     if not (a < s < b):
         raise ValueError("singular point must lie strictly inside (a, b)")
     w = min(s - a, b - s)
-    hs = np.array([eps * w for eps in cfg.pv_eps_sequence])
-    inner = QuadConfig(abs_tol=cfg.abs_tol * 0.5, rel_tol=cfg.rel_tol * 0.5,
-                       max_depth=cfg.max_depth)
-    vals = np.empty(hs.size)
-    errs = np.empty(hs.size)
-    for j, h in enumerate(hs):
-        left = integrate_adaptive(f, a, s - h, inner, breaks)
-        right = integrate_adaptive(f, s + h, b, inner, breaks)
-        vals[j] = left.value + right.value
-        errs[j] = left.error + right.error
+    breaks = np.empty(0) if breaks is None else np.asarray(breaks, dtype=float).ravel()
 
-    limit, residual = _neville_at_zero(hs, vals)
-    # Cauchy check: successive raw values must stabilize under extrapolation;
-    # compare the extrapolated limit against the one from the coarser prefix.
-    limit_coarse, _ = _neville_at_zero(hs[:-1], vals[:-1])
-    drift = abs(limit - limit_coarse)
-    spread = np.max(vals) - np.min(vals)
-    if not np.isfinite(limit) or drift > max(0.2 * spread, 1e3 * max(cfg.abs_tol, abs(limit) * cfg.rel_tol)):
-        raise ValueError(
-            "principal-value extrapolation did not converge "
-            f"(drift {drift:.3e} over ladder spread {spread:.3e})"
-        )
-    err = residual + float(np.max(errs))
-    return IntegralResult(limit, err, True)
+    def folded(u):
+        y = f(np.concatenate([s + u, s - u]))
+        return y[:u.size] + y[u.size:]
+
+    pieces = [integrate_adaptive(folded, 0.0, w, cfg, np.abs(breaks - s))]
+    lo, hi = (a, s - w) if s - a > b - s else (s + w, b)
+    if lo < hi:
+        pieces.append(integrate_adaptive(f, lo, hi, cfg, breaks))
+    if not all(p.converged for p in pieces):
+        raise ValueError("principal value did not converge")
+    return IntegralResult(sum(p.value for p in pieces), sum(p.error for p in pieces), True)

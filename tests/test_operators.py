@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from besselkit.kernels import KernelSpec, riesz_kernel, frac_kernel
+from besselkit.kernels import KernelSpec, _poisson_family, frac_kernel, riesz_kernel
 from besselkit.measure import GridFunction, Interval, MeasureSpace, make_log_grid, measure_interval
 from besselkit.operators import (
     LadderConfig,
@@ -100,14 +102,75 @@ def test_riesz_consistency_with_conjugate_limit():
     spec = OperatorSpec(KernelSpec("riesz", SP, quad=FAST))
     x = 1.1
     target = apply_riesz(spec, f, x)
-    q = {t: apply_semigroup(OperatorSpec(KernelSpec("conj_poisson", SP, t=t, quad=FAST)), f, x)
-         for t in (0.05, 0.02, 0.01)}
-    gaps = [abs(q[t] - target) for t in (0.05, 0.01)]
+    ts = (0.04, 0.02, 0.01, 0.005)
+    q = [apply_semigroup(OperatorSpec(KernelSpec("conj_poisson", SP, t=t, quad=FAST)), f, x)
+         for t in ts]
+    gaps = [abs(q[0] - target), abs(q[-1] - target)]
     assert gaps[1] < gaps[0]
-    # Q_t f - R f falls like t (0.0696, 0.0290, 0.0145 at t = 0.05, 0.02,
-    # 0.01), so the Richardson value 2 Q_0.01 f - Q_0.02 f removes the
-    # first-order term; it lands 4.8e-5 from the PV value
-    assert abs(2.0 * q[0.01] - q[0.02] - target) < 1e-4
+    # Q_t f - R f falls like t (0.0572, 0.0296, 0.0151, 0.0076 at the four
+    # t), so third-order Richardson over the halvings removes the t, t^2 and
+    # t^3 terms; it lands 7.5e-8 from the PV value
+    for k in (1, 2, 3):
+        q = [(2 ** k * q[i + 1] - q[i]) / (2 ** k - 1) for i in range(len(q) - 1)]
+    assert abs(q[0] - target) < 1e-6
+
+
+def gaussian_grid():
+    nodes = np.linspace(1e-5, 6.0, 450)
+    return GridFunction(nodes, np.exp(-nodes * nodes))
+
+
+def cauchy_reference(lam, f, x):
+    """PV ∫ R(x, y) f(y) y^(2 lam) dy from QUADPACK: the Cauchy weight
+    1/(y - x) on the cell around x and a plain quad on every other cell.
+
+    The numerator R(x, y)(y - x) f(y) y^(2 lam) comes from the kernel's core,
+    since the public kernel refuses y near x; its limit at y = x is f(x)/pi.
+    """
+
+    def numer(y):
+        if y == x:
+            return f(x) / math.pi
+        r = _poisson_family(lam, np.array([x]), np.array([y]), 0.0, True, False)[0][0]
+        return r * (y - x) * f(y) * y ** (2 * lam)
+
+    total = 0.0
+    for a, b in zip(f.nodes[:-1], f.nodes[1:]):
+        if a < x < b:
+            total += quad(numer, a, b, weight="cauchy", wvar=x,
+                          epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        else:
+            total += quad(lambda y: numer(y) / (y - x), a, b, epsabs=1e-14, epsrel=1e-12)[0]
+    return total
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam,x", [(0.3, 0.05), (1.25, 1.0), (3.0, 0.05)])
+def test_riesz_pv_against_quadpack_cauchy_weight(lam, x):
+    # measured gaps 1.5e-8, 3.2e-8 and 5.6e-7 relative.  The last is the
+    # reference's own: the numerator's (y - x) log|y - x| term costs QAWC
+    # 1.5e-8 absolute on the cell around x, which moves with how the cell
+    # is split, while a folded QAGS of that cell agrees with apply_riesz to
+    # 2e-10.  Symmetric excision with polynomial extrapolation to zero
+    # width, which cannot remove the h log h term, missed by 1.1e-2, 2.5e-3
+    # and 0.20
+    f = gaussian_grid()
+    got = apply_riesz(OperatorSpec(KernelSpec("riesz", MeasureSpace(lam))), f, x)
+    assert got == pytest.approx(cauchy_reference(lam, f, x), rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.25, 3.0])
+def test_riesz_pv_at_and_near_a_node_is_continuous(lam):
+    # the target at a node, inside the kernel's diagonal guard of one, and
+    # just outside it: no raise, and values within |Rf'| dx of each other
+    # (|Rf'| is about 0.16 here)
+    f = gaussian_grid()
+    spec = OperatorSpec(KernelSpec("riesz", MeasureSpace(lam)))
+    node = f.nodes[75]
+    at = apply_riesz(spec, f, node)
+    for d in (1e-9, 1e-5):
+        near = apply_riesz(spec, f, node * (1.0 + d))
+        assert abs(near - at) <= d * node + 1e-9
 
 
 def test_riesz_linearity():
@@ -148,6 +211,23 @@ def test_frac_scaling_change_of_variables():
     assert scaled == pytest.approx(delta ** alpha * base, rel=1e-6)
 
 
+def test_frac_alpha_half_interior_against_quadpack():
+    # at the default tolerance, with the target between nodes; QAGS grades
+    # into the |x - y|^(-1/2) diagonal from both sides with x as an end
+    space = MeasureSpace(1.0)
+    spec = OperatorSpec(KernelSpec("fractional", space, alpha=0.5))
+    f = smooth_bump()
+    x = 0.77
+    got = apply_frac(spec, f, x)
+    lo, hi = f.support
+    ref = 0.0
+    for a, b in ((lo, x), (x, hi)):
+        pts = f.nodes[(f.nodes > a) & (f.nodes < b)]
+        ref += quad(lambda y: frac_kernel(spec.kernel, x, y) * f(y) * y ** 2, a, b, points=pts,
+                    limit=4 * pts.size + 50, epsabs=1e-13, epsrel=1e-12)[0]
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
 def test_commutator_constant_symbol_vanishes():
     f = smooth_bump()
     b = GridFunction(np.array([1e-3, 100.0]), np.array([3.0, 3.0]))
@@ -167,6 +247,24 @@ def test_commutator_fused_equals_two_term_outside_support():
     bf = GridFunction(f.nodes, b(f.nodes) * f.values)
     two_term = b(x) * apply_riesz(plain, f, x) - apply_riesz(plain, bf, x)
     assert fused == pytest.approx(two_term, abs=3e-6)
+
+
+@pytest.mark.parametrize("lam", [0.75, 1.0])
+@pytest.mark.parametrize("where", ["mid-cell", "near-node"])
+def test_commutator_fused_equals_two_pv_calls_on_support(lam, where):
+    # pconst symbol and input on one grid, so b f is exactly a grid function
+    # and b(x) Rf(x) - R(bf)(x) is two independent principal values
+    bump = smooth_bump()
+    nodes = bump.nodes
+    f = GridFunction(nodes, bump.values, "pconst")
+    b = GridFunction(nodes, nodes ** 2, "pconst")
+    bf = GridFunction(nodes, b.values * f.values, "pconst")
+    x = 0.5 * (nodes[120] + nodes[121]) if where == "mid-cell" else nodes[120] * (1.0 + 1e-5)
+    k = KernelSpec("riesz", MeasureSpace(lam))
+    fused = commutator(OperatorSpec(k, symbol=b), f, x)
+    plain = OperatorSpec(k)
+    two_pv = b(x) * apply_riesz(plain, f, x) - apply_riesz(plain, bf, x)
+    assert fused == pytest.approx(two_pv, abs=1e-9)
 
 
 def test_commutator_holder_symbol_finite_on_support():

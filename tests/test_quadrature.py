@@ -20,10 +20,6 @@ CFG = QuadConfig()
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadConfig(pv_eps_sequence=(0.1, 0.2, 0.3))
-    with pytest.raises(ValueError):
-        QuadConfig(pv_eps_sequence=(0.1, 0.05))
 
 
 def test_adaptive_smooth():
@@ -63,6 +59,14 @@ def test_adaptive_nonconvergence_flagged():
     # non-integrable 1/x blows up: exhaust a tiny depth budget and flag
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_depth=6)
     res = integrate_adaptive(lambda t: 1.0 / t, 0.0, 1.0, cfg)
+    assert not res.converged
+
+
+def test_adaptive_infinite_total_not_converged():
+    # bisection into 1/(1 - t) rounds a node onto t = 1; the inf total must
+    # not meet its own tolerance rel_tol * inf
+    with np.errstate(divide="ignore"):
+        res = integrate_adaptive(lambda t: 1.0 / (1.0 - t), 0.0, 1.0, CFG)
     assert not res.converged
 
 
@@ -235,12 +239,3 @@ def test_pv_non_pv_singularity_raises():
 def test_pv_requires_interior_point():
     with pytest.raises(ValueError):
         integrate_pv(lambda t: 1.0 / t, 5.0, 0.0, 3.0, CFG)
-
-
-def test_pv_refined_ladder_does_not_worsen():
-    coarse = QuadConfig(pv_eps_sequence=tuple(0.25 * 2.0 ** (-j) for j in range(5)))
-    fine = QuadConfig(pv_eps_sequence=tuple(0.25 * 2.0 ** (-j) for j in range(8)))
-    target = math.log(2.0)
-    rc = integrate_pv(lambda t: np.exp(0.3 * t) / (t - 1.0), 1.0, 0.0, 3.0, coarse)
-    rf = integrate_pv(lambda t: np.exp(0.3 * t) / (t - 1.0), 1.0, 0.0, 3.0, fine)
-    assert abs(rf.value - rc.value) <= rc.error + rf.error
