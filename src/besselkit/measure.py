@@ -114,6 +114,21 @@ def comparable_volume(space: MeasureSpace, x: float, r: float) -> float:
     return x ** (2.0 * space.lam) * r + r ** space.upper_dim
 
 
+def _affine_dm(space: MeasureSpace, u, v, a, b):
+    """Exact ∫_u^v (a + b*y) dm for each affine piece."""
+    return a * (space.power_primitive(v) - space.power_primitive(u)) + b * (
+        space.power_primitive(v, 1.0) - space.power_primitive(u, 1.0)
+    )
+
+
+def _split_at_zeros(u, v, a, b):
+    """The pieces (u, v, a, b), each cut in two where a + b*y vanishes inside (u, v)."""
+    yc = np.where(b != 0.0, -a / np.where(b == 0.0, 1.0, b), u)
+    cross = (b != 0.0) & (yc > u) & (yc < v)
+    return (np.concatenate([u, yc[cross]]), np.concatenate([np.where(cross, yc, v), v[cross]]),
+            np.concatenate([a, a[cross]]), np.concatenate([b, b[cross]]))
+
+
 def make_log_grid(xmin: float, xmax: float, n: int) -> np.ndarray:
     """Geometrically spaced nodes covering [xmin, xmax], endpoints included."""
     if not (0 < xmin < xmax):
@@ -158,8 +173,6 @@ class GridFunction:
         y = np.atleast_1d(y)
         if self.interp == "linear":
             out = np.interp(y, self.nodes, self.values, left=0.0, right=0.0)
-            # np.interp clamps at the ends; enforce the hard zero outside.
-            out = np.where((y < self.nodes[0]) | (y > self.nodes[-1]), 0.0, out)
         else:
             idx = np.searchsorted(self.nodes, y, side="right") - 1
             idx = np.clip(idx, 0, self.nodes.size - 2)
@@ -205,45 +218,33 @@ class GridFunction:
 
     def integrate_dm(self, space: MeasureSpace, lo=None, hi=None) -> float:
         """Exact ∫ f dm over [lo, hi] (defaults to the full support)."""
-        u, v, a, b = self.segments(lo, hi)
-        if u.size == 0:
-            return 0.0
-        s0 = space.power_primitive(v) - space.power_primitive(u)
-        s1 = space.power_primitive(v, 1.0) - space.power_primitive(u, 1.0)
-        return float(np.sum(a * s0 + b * s1))
+        return float(np.sum(_affine_dm(space, *self.segments(lo, hi))))
 
     def mean_dm(self, space: MeasureSpace, iv: Interval) -> float:
-        """m-average of f over the part of I covered by the grid."""
+        """m-average of f over all of I, with f = 0 off the grid."""
         return self.integrate_dm(space, iv.left, iv.right) / measure_interval(space, iv)
 
     def integrate_abs_dev_dm(self, space: MeasureSpace, c: float, lo=None, hi=None) -> float:
-        """Exact ∫ |f - c| dm over [lo, hi]: splits pieces at sign crossings."""
+        """Exact ∫ |f - c| dm over [lo, hi] (defaults to the full support).
+
+        On the grid, pieces are split where f - c changes sign; off the grid
+        f = 0, so the integrand there is |c|.
+        """
+        n0, n1 = self.support
+        lo = n0 if lo is None else lo
+        hi = n1 if hi is None else hi
         u, v, a, b = self.segments(lo, hi)
-        if u.size == 0:
-            return 0.0
-        a = a - c
-        # crossing point of a + b*y inside (u, v), where it exists
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yc = np.where(b != 0.0, -a / np.where(b == 0.0, 1.0, b), u)
-        cross = (b != 0.0) & (yc > u) & (yc < v)
-        uu = np.concatenate([u, yc[cross]])
-        vv = np.concatenate([np.where(cross, yc, v), v[cross]])
-        aa = np.concatenate([a, a[cross]])
-        bb = np.concatenate([b, b[cross]])
-        s0 = space.power_primitive(vv) - space.power_primitive(uu)
-        s1 = space.power_primitive(vv, 1.0) - space.power_primitive(uu, 1.0)
-        piece = aa * s0 + bb * s1
-        return float(np.sum(np.abs(piece)))
+        inside = np.sum(np.abs(_affine_dm(space, *_split_at_zeros(u, v, a - c, b))))
+        c0, c1 = np.clip((n0, n1), lo, hi)
+        outside = space.segment_measure(lo, c0) + space.segment_measure(c1, hi)
+        return float(inside + abs(c) * outside)
 
     def abs(self) -> "GridFunction":
         """Exact |f| as a grid function (zero crossings become new nodes)."""
         if self.interp == "pconst":
             return GridFunction(self.nodes, np.abs(self.values), "pconst")
-        u, v, a, b = self.segments()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yc = np.where(b != 0.0, -a / np.where(b == 0.0, 1.0, b), u)
-        cross = (b != 0.0) & (yc > u) & (yc < v)
-        nodes = np.unique(np.concatenate([self.nodes, yc[cross]]))
+        u, v, _, _ = _split_at_zeros(*self.segments())
+        nodes = np.unique(np.concatenate([u, v]))
         return GridFunction(nodes, np.abs(self(nodes)), "linear")
 
     def to_csv(self, path) -> None:
@@ -273,20 +274,13 @@ class GridCumulative:
         u, v, a, b = f.segments()
         self._u, self._a, self._b = u, a, b
         self._edges = np.concatenate([u, v[-1:]])
-        piece = a * (space.power_primitive(v) - space.power_primitive(u)) + b * (
-            space.power_primitive(v, 1.0) - space.power_primitive(u, 1.0)
-        )
-        self._prefix = np.concatenate([[0.0], np.cumsum(piece)])
+        self._prefix = np.concatenate([[0.0], np.cumsum(_affine_dm(space, u, v, a, b))])
 
     def _upto(self, y):
         """∫ f dm over [support lo, y], vectorized and exact."""
         y = np.clip(np.asarray(y, dtype=float), self._edges[0], self._edges[-1])
         idx = np.clip(np.searchsorted(self._edges, y, side="right") - 1, 0, self._u.size - 1)
-        u, a, b = self._u[idx], self._a[idx], self._b[idx]
-        sp = self.space
-        partial = a * (sp.power_primitive(y) - sp.power_primitive(u)) + b * (
-            sp.power_primitive(y, 1.0) - sp.power_primitive(u, 1.0)
-        )
+        partial = _affine_dm(self.space, self._u[idx], y, self._a[idx], self._b[idx])
         return self._prefix[idx] + partial
 
     def between(self, lo, hi):

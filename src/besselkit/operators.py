@@ -18,7 +18,8 @@ symbol factor tames the Riesz diagonal down to an integrable singularity.
 The Hardy-Littlewood maximal functions are exact on grid functions: the
 supremum over all intervals containing x is found by Dinkelbach's iteration
 over the grid's own breakpoints.  ``h_beta_maximal`` takes an arbitrary
-interval family and still scans a geometric ladder of radii.
+interval family and scans one geometric ladder of radii, the refinement of
+the given one, which contains every radius of the given ladder.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
 # Dinkelbach's iteration settles in 3-6 steps on the benchmark's step
 # functions; one still moving after this many steps is reported.
 _DINKELBACH_STEPS = 64
-_T_REFINEMENTS = 2  # midpoint refinements of the grid hl_maximal_t samples |f|^t on
+_T_REFINEMENTS = 2  # midpoint refinements of the grid hl_maximal_t samples a linear |f|^t on
 _DIVERGENCE_FACTOR = 2.0  # growth of the h_beta sup under refinement reported as +inf
 
 
@@ -252,6 +253,8 @@ def hl_maximal(
     Raises ArithmeticError if the iteration does not settle.
     """
     # ``ladder`` is ignored; the benchmark's self-test still passes one.
+    if not x >= 0:
+        raise ValueError(f"need x >= 0, got {x}")
     g = f.abs()
     cum = GridCumulative(space, g)
     u, v, a, b = g.segments()
@@ -275,12 +278,14 @@ def hl_maximal(
 
 
 def hl_maximal_t(space: MeasureSpace, f: GridFunction, x: float, t_power: float) -> float:
-    """M_t f = (M(|f|^t))^(1/t), t >= 1, on a midpoint-refined carrier grid."""
+    """M_t f = (M(|f|^t))^(1/t), t >= 1; a linear f is sampled on a
+    midpoint-refined carrier grid, a step function on its own nodes."""
     if t_power < 1.0:
         raise ValueError("need t_power >= 1")
     nodes = f.nodes
-    for _ in range(_T_REFINEMENTS):
-        nodes = np.unique(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+    if f.interp == "linear":  # |f|^t of a step function is exact on f's nodes
+        for _ in range(_T_REFINEMENTS):
+            nodes = np.unique(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
     g = GridFunction(nodes, np.abs(f(nodes)) ** t_power, f.interp)
     return hl_maximal(space, g, x) ** (1.0 / t_power)
 
@@ -326,27 +331,27 @@ def h_beta_maximal(
     """sup over ladder intervals I with x in I of m(I)^(-1-beta/Q) * family(I).
 
     ``family(iv)`` must return ∫_I |h^I| dm for its own interval function.
-    The sup is recomputed on a refined ladder; growth beyond
-    ``_DIVERGENCE_FACTOR`` reports +inf (the sup is not stabilizing).
+    Intervals are centred at x and at the ``centers`` within one radius of x.
+    The sup is taken in one scan of ``ladder.refine()``, which halves the
+    log-step and adds one step of ``ladder`` at each end, so its radii with
+    indices 2, 4, ..., 2n are the n radii of ``ladder``.  A refined sup above
+    ``_DIVERGENCE_FACTOR`` times the coarse one reports +inf (the sup is not
+    stabilizing).
     """
     if beta < 0:
         raise ValueError("need beta >= 0")
     expo = -(1.0 + beta / space.upper_dim)
-
-    def scan(lad: LadderConfig) -> float:
-        best = 0.0
-        for r in lad.radii():
-            cand = np.array([x]) if centers is None else np.concatenate(
-                [centers[(centers > x - r) & (centers < x + r)], [x]]
-            )
-            for c in cand:
-                iv = Interval(float(c), float(r))
-                m = measure_interval(space, iv)
-                best = max(best, m ** expo * family(iv))
-        return best
-
-    coarse = scan(ladder)
-    fine = scan(ladder.refine())
+    radii = ladder.refine().radii()
+    sup = np.zeros(radii.size)
+    for k, r in enumerate(radii):
+        cand = np.array([x]) if centers is None else np.concatenate(
+            [centers[(centers > x - r) & (centers < x + r)], [x]]
+        )
+        for c in cand:
+            iv = Interval(float(c), float(r))
+            sup[k] = max(sup[k], measure_interval(space, iv) ** expo * family(iv))
+    coarse = sup[2 : 2 * ladder.radii().size + 1 : 2].max()
+    fine = sup.max()
     if coarse > 0 and fine > _DIVERGENCE_FACTOR * coarse:
         return float("inf")
-    return max(coarse, fine)
+    return float(fine)

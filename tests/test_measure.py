@@ -224,6 +224,16 @@ def test_integrate_abs_dev_exact_crossings():
     assert f.integrate_abs_dev_dm(space, c) == pytest.approx(lo, rel=1e-12)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (0.0, 0.5), (2.5, 3.0), (1.2, 1.8), (1.5, 4.0)])
+def test_integrate_abs_dev_counts_the_window_off_the_grid(lo, hi):
+    # f = 1 on [1, 2] and 0 off the grid, so |f - c| = |c| outside [1, 2]
+    space = MeasureSpace(1.0)
+    f = GridFunction([1.0, 2.0], [1.0, 1.0], interp="pconst")
+    c = 0.5
+    ref = quad(lambda t: abs(f(t) - c) * t * t, lo, hi, points=[1.0, 2.0], epsabs=1e-14)[0]
+    assert f.integrate_abs_dev_dm(space, c, lo, hi) == pytest.approx(ref, rel=1e-12)
+
+
 @given(
     lam=st.floats(min_value=0.2, max_value=3.0),
     c1=st.floats(min_value=-2.0, max_value=2.0),

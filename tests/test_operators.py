@@ -360,6 +360,14 @@ def test_hl_maximal_pconst_equals_all_pairs_sweep(gaps, heights, start, x, lam, 
     assert hl_maximal(space, finer, x) == pytest.approx(got, rel=1e-12, abs=0.0)
 
 
+def test_hl_maximal_rejects_negative_x():
+    f = GridFunction([1.0, 2.0], [1.0, 1.0], "pconst")
+    with pytest.raises(ValueError):
+        hl_maximal(SP, f, -1.0)
+    with pytest.raises(ValueError):
+        hl_maximal_t(SP, f, -1.0, 2.0)
+
+
 def test_hl_maximal_homogeneous_in_f():
     nodes = np.linspace(0.5, 4.0, 100)
     f = GridFunction(nodes, np.sin(nodes))
@@ -443,3 +451,66 @@ def test_h_beta_divergence_flag():
         return measure_interval(SP, iv) ** -2.0
 
     assert h_beta_maximal(SP, exploding_family, 0.5, 1.0, lad) == float("inf")
+
+
+def test_oscillation_family_counts_the_interval_off_the_grid():
+    # g = 1 on [1, 2], 0 elsewhere, lam = 1; I = (0, 3) reaches past both ends
+    g = GridFunction([1.0, 2.0], [1.0, 1.0], "pconst")
+    iv = Interval(1.5, 1.5)
+    mean = quad(lambda t: g(t) * t * t, 0.0, 3.0, points=[1.0, 2.0])[0] / measure_interval(SP, iv)
+    ref = quad(lambda t: abs(g(t) - mean) * t * t, 0.0, 3.0, points=[1.0, 2.0], epsabs=1e-14)[0]
+    assert oscillation_family(SP, g)(iv) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("ladder", [LadderConfig(0.05, 2.0), LadderConfig(0.125, 2.0, 2.0)])
+@pytest.mark.parametrize("with_centers", [False, True])
+def test_h_beta_one_scan_matches_two_scan_reference(ladder, with_centers):
+    rng = np.random.default_rng(7)
+    nodes = np.sort(rng.uniform(0.3, 3.0, 40))
+    values = np.where((nodes > 0.9) & (nodes < 1.6), 1.0, 0.0) + 0.4 * (nodes > 2.2)
+    g = GridFunction(nodes, values, "pconst")
+    centers = g.nodes if with_centers else None
+    beta, x = 0.3, 1.45
+    osc = oscillation_family(SP, g)
+    calls = []
+
+    def family(iv):
+        calls.append((iv.center, iv.radius))
+        return osc(iv)
+
+    expo = -(1.0 + beta / SP.upper_dim)
+
+    def scan(lad):
+        best = 0.0
+        for r in lad.radii():
+            cand = [x] if centers is None else [*centers[np.abs(centers - x) < r], x]
+            for c in cand:
+                iv = Interval(float(c), float(r))
+                best = max(best, measure_interval(SP, iv) ** expo * osc(iv))
+        return best
+
+    # the definition: scan the given ladder, then its refinement, then
+    # report a sup that more than doubles under refinement as divergent
+    coarse, fine = scan(ladder), scan(ladder.refine())
+    ref = float("inf") if fine > 2.0 * coarse else max(coarse, fine)
+    got = h_beta_maximal(SP, family, beta, x, ladder, centers)
+    assert got == pytest.approx(ref, rel=1e-12)
+    pairs = sum(1 if centers is None else 1 + int(np.sum(np.abs(centers - x) < r))
+                for r in ladder.refine().radii())
+    assert len(calls) == pairs
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("ladder", [LadderConfig(0.05, 2.0), LadderConfig(0.125, 2.0, 2.0)])
+def test_h_beta_reads_the_coarse_sup_off_the_given_radii(ladder):
+    # in units of m(I)^(1 + beta/Q): 1 on one radius of the given ladder, 0
+    # on its others and 3 off it; the sup diverges exactly when the coarse
+    # sup is read off all the given radii and no others
+    coarse = ladder.radii()
+    for k in range(coarse.size):
+        def family(iv):
+            on = np.isclose(iv.radius, coarse, rtol=1e-9)
+            weight = float(on[k]) if on.any() else 3.0
+            return measure_interval(SP, iv) ** (1.0 + 0.5 / SP.upper_dim) * weight
+
+        assert h_beta_maximal(SP, family, 0.5, 1.0, ladder) == float("inf")
