@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 - ``measure``    -- the measure space, intervals, grids, exact grid integrals
-- ``special``    -- modified Bessel I_mu and log-Gamma
+- ``special``    -- modified Bessel I_mu
 - ``quadrature`` -- adaptive and principal-value integration
 - ``kernels``    -- heat, Poisson, conjugate-Poisson, Riesz and fractional kernels
 - ``operators``  -- semigroups, singular and fractional integrals, commutators,
@@ -16,11 +16,10 @@ from .measure import (
     MeasureSpace,
     comparable_volume,
     doubling_ratio,
-    integrate_grid,
     make_log_grid,
     measure_interval,
 )
-from .special import bessel_i, log_gamma
+from .special import bessel_i
 
 __version__ = "0.1.0"
 
@@ -32,8 +31,6 @@ __all__ = [
     "doubling_ratio",
     "comparable_volume",
     "make_log_grid",
-    "integrate_grid",
     "bessel_i",
-    "log_gamma",
     "__version__",
 ]

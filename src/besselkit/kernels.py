@@ -54,11 +54,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta, hyp2f1
+from scipy.special import beta, gammaln, hyp2f1
 
 from .measure import MeasureSpace
 from .quadrature import QuadConfig
-from .special import bessel_i, log_gamma
+from .special import bessel_i
 
 __all__ = [
     "KernelSpec",
@@ -67,7 +67,6 @@ __all__ = [
     "conj_poisson_kernel",
     "riesz_kernel",
     "frac_kernel",
-    "frac_kernel_x_derivative",
     "kernel_value",
     "theta_moments",
 ]
@@ -304,7 +303,7 @@ def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     hi, lo = np.maximum(x, y), np.minimum(x, y)
     z = (lo / hi) ** 2
     pref = 2.0 ** (1.0 - alpha) * math.exp(
-        log_gamma(nu) - log_gamma(alpha) - log_gamma(lam + 0.5)) * hi ** (-2.0 * nu)
+        gammaln(nu) - gammaln(alpha) - gammaln(lam + 0.5)) * hi ** (-2.0 * nu)
     if alpha < 1.0:
         pref = pref * ((hi - lo) * (hi + lo) / (hi * hi)) ** (alpha - 1.0)
         f, df = _hyp2f1(0.5 * alpha, lam - 0.5 + 0.5 * alpha, lam + 0.5, z, with_error)
@@ -313,20 +312,6 @@ def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     val = pref * f
     err = pref * df if with_error else None
     return _result(val, err, scalar)
-
-
-def frac_kernel_x_derivative(spec: KernelSpec, x: float, y: float) -> float:
-    """Central finite difference of K_a in its first argument.
-
-    Step h = 1e-4 * min(x, |x - y|); raises once the step underflows the
-    spacing representable near the diagonal.
-    """
-    h = 1e-4 * min(x, abs(x - y))
-    if h <= 1e-13 * x:
-        raise ValueError("finite-difference step collapsed near the diagonal")
-    up = frac_kernel(spec, x + h, y)
-    dn = frac_kernel(spec, x - h, y)
-    return (up - dn) / (2.0 * h)
 
 
 _DISPATCH = {

@@ -20,7 +20,6 @@ __all__ = [
     "doubling_ratio",
     "comparable_volume",
     "make_log_grid",
-    "integrate_grid",
 ]
 
 
@@ -139,7 +138,7 @@ def make_log_grid(xmin: float, xmax: float, n: int) -> np.ndarray:
 
 
 class GridFunction:
-    """A sampled function on strictly increasing positive nodes.
+    """Finite samples on finite, strictly increasing positive nodes.
 
     Evaluation interpolates (``linear`` or ``pconst`` = left-constant cells)
     inside [nodes[0], nodes[-1]] and returns 0 outside: every carrier used
@@ -153,10 +152,12 @@ class GridFunction:
             raise ValueError("nodes and values must be matching 1-d arrays")
         if nodes.size < 2:
             raise ValueError("need at least 2 nodes")
-        if not np.all(np.diff(nodes) > 0):
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        if not (np.diff(nodes) > 0).all():  # also rejects a nan node
             raise ValueError("nodes must be strictly increasing")
-        if not nodes[0] > 0:
-            raise ValueError("nodes must be positive")
+        if not (nodes[0] > 0 and nodes[-1] < np.inf):
+            raise ValueError("nodes must be positive and finite")
         if interp not in ("linear", "pconst"):
             raise ValueError(f"unknown interp {interp!r}")
         self.nodes = nodes
@@ -184,9 +185,6 @@ class GridFunction:
         """The rescaled function y -> f(y / factor) on the dilated grid."""
         return GridFunction(self.nodes * factor, self.values.copy(), self.interp)
 
-    def scale(self, c: float) -> "GridFunction":
-        return GridFunction(self.nodes.copy(), c * self.values, self.interp)
-
     # -- exact segment decomposition -------------------------------------
 
     def segments(self, lo: float | None = None, hi: float | None = None):
@@ -200,9 +198,7 @@ class GridFunction:
         if hi <= lo:
             return np.empty(0), np.empty(0), np.empty(0), np.empty(0)
         i0 = int(np.searchsorted(self.nodes, lo, side="right") - 1)
-        i0 = max(i0, 0)
         i1 = int(np.searchsorted(self.nodes, hi, side="left"))
-        i1 = min(i1, self.nodes.size - 1)
         left = self.nodes[i0:i1].copy()
         right = self.nodes[i0 + 1 : i1 + 1].copy()
         if self.interp == "linear":
@@ -246,20 +242,6 @@ class GridFunction:
         u, v, _, _ = _split_at_zeros(*self.segments())
         nodes = np.unique(np.concatenate([u, v]))
         return GridFunction(nodes, np.abs(self(nodes)), "linear")
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.nodes, self.values]),
-                   delimiter=",", header="node,value", comments="")
-
-    @classmethod
-    def from_csv(cls, path, interp: str = "linear") -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0], data[:, 1], interp)
-
-
-def integrate_grid(space: MeasureSpace, f: GridFunction) -> float:
-    """∫ f dm with the composite rule matching f's interpolation (exact)."""
-    return f.integrate_dm(space)
 
 
 class GridCumulative:

@@ -45,7 +45,6 @@ __all__ = [
     "frac_integral_Igamma",
     "h_beta_maximal",
     "oscillation_family",
-    "maximal_power_default",
 ]
 
 
@@ -79,22 +78,9 @@ class LadderConfig:
                             math.sqrt(self.ratio))
 
 
-def maximal_power_default(p: float) -> float:
-    """Default exponent t = s with t*s = (1 + p)/2 for the iterated maximal
-    bounds; any 1 < t*s < p works, this sits in the middle of the range."""
-    return math.sqrt((1.0 + p) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # kernel applications
 # ---------------------------------------------------------------------------
-
-
-def _support_window(f: GridFunction) -> tuple[float, float]:
-    lo, hi = f.support
-    if hi <= lo:
-        raise ValueError("empty support")
-    return lo, hi
 
 
 def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
@@ -102,7 +88,7 @@ def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     k = spec.kernel
     if k.kind not in ("heat", "poisson", "conj_poisson"):
         raise ValueError("apply_semigroup expects a heat or Poisson-type kernel")
-    lo, hi = _support_window(f)
+    lo, hi = f.support
     w = 2.0 * k.space.lam
 
     def integrand(y):
@@ -138,7 +124,7 @@ def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     k = spec.kernel
     if k.kind != "riesz":
         raise ValueError("apply_riesz expects the riesz kernel")
-    lo, hi = _support_window(f)
+    lo, hi = f.support
     w = 2.0 * k.space.lam
 
     def integrand(y):
@@ -187,7 +173,7 @@ def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     k = spec.kernel
     if k.kind != "fractional":
         raise ValueError("apply_frac expects the fractional kernel")
-    lo, hi = _support_window(f)
+    lo, hi = f.support
     w = 2.0 * k.space.lam
 
     def integrand(y, r):
@@ -210,7 +196,7 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     b = spec.symbol
     if b is None:
         raise ValueError("commutator requires a symbol in the operator spec")
-    lo, hi = _support_window(f)
+    lo, hi = f.support
     w = 2.0 * k.space.lam
     bx = b(x)
     # x as a breakpoint too: panels grade into a fractional diagonal
@@ -280,7 +266,7 @@ def hl_maximal(
 def hl_maximal_t(space: MeasureSpace, f: GridFunction, x: float, t_power: float) -> float:
     """M_t f = (M(|f|^t))^(1/t), t >= 1; a linear f is sampled on a
     midpoint-refined carrier grid, a step function on its own nodes."""
-    if t_power < 1.0:
+    if not t_power >= 1.0:
         raise ValueError("need t_power >= 1")
     nodes = f.nodes
     if f.interp == "linear":  # |f|^t of a step function is exact on f's nodes
@@ -297,7 +283,7 @@ def frac_integral_Igamma(
     """∫ f(u) m(I(x, |x-u|))^(gamma - 1) dm(u) for 0 < gamma < 1."""
     if not 0 < gamma < 1:
         raise ValueError("need 0 < gamma < 1")
-    lo, hi = _support_window(f)
+    lo, hi = f.support
     w = 2.0 * space.lam
 
     def integrand(u, r):
@@ -338,7 +324,7 @@ def h_beta_maximal(
     ``_DIVERGENCE_FACTOR`` times the coarse one reports +inf (the sup is not
     stabilizing).
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("need beta >= 0")
     expo = -(1.0 + beta / space.upper_dim)
     radii = ladder.refine().radii()

@@ -41,8 +41,10 @@ class QuadConfig:
     max_depth: int = 60
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_depth >= 0:
+            raise ValueError("max_depth must be nonnegative")
 
 
 class IntegralResult(NamedTuple):

@@ -1,4 +1,4 @@
-"""Modified Bessel function I_mu for real order mu >= -1/2, plus log-Gamma.
+"""Modified Bessel function I_mu for real order mu >= -1/2.
 
 The heat kernel on the weighted half-line needs I_(lam - 1/2) evaluated with
 a fused exponential: exp(-(x-y)^2/4t) * [exp(-z) I_mu(z)] never overflows,
@@ -14,11 +14,10 @@ without warning, for arguments of about 1e9 and beyond (scipy 1.17).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, ive
+from scipy.special import ive
 
 __all__ = [
     "bessel_i",
-    "log_gamma",
     "series_crossover",
 ]
 
@@ -26,15 +25,6 @@ __all__ = [
 _RAW_OVERFLOW_Z = 705.0
 
 _ASYMPTOTIC_MAX_TERMS = 60
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0 (array-friendly)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires positive arguments")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def series_crossover(mu: float) -> float:

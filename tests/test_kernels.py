@@ -9,7 +9,6 @@ from besselkit.kernels import (
     KernelSpec,
     conj_poisson_kernel,
     frac_kernel,
-    frac_kernel_x_derivative,
     heat_kernel,
     kernel_value,
     poisson_kernel,
@@ -276,6 +275,12 @@ def test_frac_mid_range_alpha_comparability():
     assert max(ratios) / min(ratios) < 100.0
 
 
+def frac_x_derivative(spec, x, y):
+    """Central difference of K_a in its first argument, step 1e-4 min(x, |x - y|)."""
+    h = 1e-4 * min(x, abs(x - y))
+    return (frac_kernel(spec, x + h, y) - frac_kernel(spec, x - h, y)) / (2.0 * h)
+
+
 def test_frac_derivative_bound_and_cancellation():
     space = MeasureSpace(1.0)
     spec = KernelSpec("fractional", space, alpha=0.5)
@@ -283,7 +288,7 @@ def test_frac_derivative_bound_and_cancellation():
     quants = []
     for x in (0.5, 1.0, 2.0):
         for y in (0.1 * x, 0.6 * x, 1.7 * x, 5.0 * x):
-            g = frac_kernel_x_derivative(spec, x, y)
+            g = frac_x_derivative(spec, x, y)
             quants.append(abs(g) * abs(x - y) ** (2 - spec.alpha) * (x + y) ** (2 * space.lam))
     assert max(quants) < 20.0
     # second difference is O(h^2) away from the diagonal
@@ -426,6 +431,33 @@ def test_reported_errors_cover_mpmath(lam):
         where = f"{spec.kind} alpha={spec.alpha} t={spec.t} x={x} y={y}"
         assert abs(val - float(ref)) <= err, where
         assert err <= 1e-6 * abs(val), where
+
+
+def mp_heat_closed(lam, x, y, t):
+    """W_t from its unfused Bessel form at 50 digits, x, y and t taken exactly."""
+    with mpmath.workdps(50):
+        lam, x, y, t = (mpmath.mpf(v) for v in (lam, x, y, t))
+        return (mpmath.exp(-(x * x + y * y) / (4 * t)) * (x * y) ** (0.5 - lam)
+                * mpmath.besseli(lam - 0.5, x * y / (2 * t)) / (2 * t))
+
+
+HEAT_POINTS = [
+    (1.0, 1.0), (1.0, 1.0 + 1e-3), (0.5, 2.0), (1e-3, 2.0),
+    (3.0, 0.1), (7.0, 7.2), (50.0, 50.0 + 1e-4), (0.01, 0.02),
+]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 1.25, 3.0, 8.0])
+def test_heat_error_bar_covers_mpmath(lam):
+    # the flat 1e-13 |value| bar over both routes of bessel_i: z = xy/2t
+    # reaches 1.25e9 at x = 50, t = 1e-6, where only the asymptotic
+    # expansion holds; where both sides underflow to 0 the bar is 0 too
+    space = MeasureSpace(lam)
+    for t in (1e-6, 1e-2, 1.0, 100.0):
+        spec = KernelSpec("heat", space, t=t)
+        for x, y in HEAT_POINTS:
+            val, err = heat_kernel(spec, x, y, with_error=True)
+            assert abs(val - float(mp_heat_closed(lam, x, y, t))) <= err, f"t={t} x={x} y={y}"
 
 
 # (kind, parameters, x, y, value, error bar) at lam = 0.75: both routes of

@@ -11,7 +11,6 @@ from besselkit.measure import (
     MeasureSpace,
     comparable_volume,
     doubling_ratio,
-    integrate_grid,
     make_log_grid,
     measure_interval,
 )
@@ -159,6 +158,13 @@ def test_grid_function_validation():
         GridFunction([2.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         GridFunction([1.0, 2.0], [0.0, 1.0], interp="cubic")
+    # a node or value that is not finite would reach the integrals as nan
+    with pytest.raises(ValueError):
+        GridFunction([1.0, 2.0, np.inf], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        GridFunction([1.0, 2.0, 3.0], [0.0, np.nan, 0.0])
+    with pytest.raises(ValueError):
+        GridFunction([1.0, 2.0, 3.0], [0.0, -np.inf, 0.0], interp="pconst")
 
 
 def test_grid_function_zero_outside_support():
@@ -181,13 +187,13 @@ def test_integrate_grid_constant_support():
     # f = 1 on (1, 2), lam = 1/2: integral of t dt = 3/2
     space = MeasureSpace(0.5)
     f = GridFunction(np.linspace(1.0, 2.0, 11), np.ones(11))
-    assert integrate_grid(space, f) == pytest.approx(1.5, rel=1e-14)
+    assert f.integrate_dm(space) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_integrate_grid_zero():
     space = MeasureSpace(1.0)
     f = GridFunction(np.linspace(1.0, 2.0, 11), np.zeros(11))
-    assert integrate_grid(space, f) == 0.0
+    assert f.integrate_dm(space) == 0.0
 
 
 def test_integrate_grid_refinement_halves_indicator_error():
@@ -199,7 +205,7 @@ def test_integrate_grid_refinement_halves_indicator_error():
     def error(n):
         nodes = np.linspace(0.5, 2.5, n)
         vals = ((nodes >= 1.0) & (nodes <= 2.0)).astype(float)
-        return abs(integrate_grid(space, GridFunction(nodes, vals)) - target)
+        return abs(GridFunction(nodes, vals).integrate_dm(space) - target)
 
     e1, e2 = error(101), error(201)
     assert e2 <= 0.55 * e1
@@ -247,16 +253,7 @@ def test_integrate_grid_linearity(lam, c1, c2):
     f = GridFunction(nodes, rng.normal(size=nodes.size))
     g = GridFunction(nodes, rng.normal(size=nodes.size))
     combo = GridFunction(nodes, c1 * f.values + c2 * g.values)
-    lhs = integrate_grid(space, combo)
-    rhs = c1 * integrate_grid(space, f) + c2 * integrate_grid(space, g)
+    lhs = combo.integrate_dm(space)
+    rhs = c1 * f.integrate_dm(space) + c2 * g.integrate_dm(space)
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
-
-def test_grid_function_csv_roundtrip(tmp_path):
-    nodes = np.geomspace(0.5, 4.0, 17)
-    f = GridFunction(nodes, np.sin(nodes))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    g = GridFunction.from_csv(path)
-    assert np.allclose(g.nodes, f.nodes)
-    assert np.allclose(g.values, f.values)

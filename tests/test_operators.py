@@ -19,7 +19,6 @@ from besselkit.operators import (
     h_beta_maximal,
     hl_maximal,
     hl_maximal_t,
-    maximal_power_default,
     oscillation_family,
 )
 from besselkit.quadrature import QuadConfig
@@ -372,7 +371,7 @@ def test_hl_maximal_homogeneous_in_f():
     nodes = np.linspace(0.5, 4.0, 100)
     f = GridFunction(nodes, np.sin(nodes))
     a = hl_maximal(SP, f, 1.7)
-    b = hl_maximal(SP, f.scale(-3.0), 1.7)
+    b = hl_maximal(SP, GridFunction(f.nodes, -3.0 * f.values, f.interp), 1.7)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
@@ -382,12 +381,6 @@ def test_hl_maximal_t_dominates_plain():
     m1 = hl_maximal(SP, f, 1.7)
     m2 = hl_maximal_t(SP, f, 1.7, 2.0)
     assert m2 >= m1 - 1e-9  # Jensen: higher power average dominates
-
-
-def test_maximal_power_default_in_range():
-    for p in (1.5, 2.0, 4.0):
-        t = maximal_power_default(p)
-        assert 1.0 < t * t < p
 
 
 # ------------------------------------------------------- fractional integral
@@ -441,6 +434,20 @@ def test_h_beta_oscillation_family_finite_for_smooth():
     lad = LadderConfig(0.05, 2.0)
     v = h_beta_maximal(SP, fam, 0.25, 1.5, lad, centers=g.nodes)
     assert np.isfinite(v) and v > 0
+
+
+def test_maximal_exponents_reject_nan():
+    # a nan exponent fails every comparison: it must not pass the range
+    # checks and come back as a silent 0 or an unsettled supremum
+    nodes = np.linspace(0.5, 3.0, 50)
+    g = GridFunction(nodes, (nodes > 1.2).astype(float), "pconst")
+    fam = oscillation_family(SP, g)
+    lad = LadderConfig(0.01, 2.0)
+    assert h_beta_maximal(SP, fam, 0.3, 1.0, lad) == pytest.approx(0.4942943, rel=1e-6)
+    with pytest.raises(ValueError):
+        h_beta_maximal(SP, fam, math.nan, 1.0, lad)
+    with pytest.raises(ValueError):
+        hl_maximal_t(SP, g, 1.0, math.nan)
 
 
 def test_h_beta_divergence_flag():

@@ -20,6 +20,11 @@ CFG = QuadConfig()
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=-1.0)
+    # a nan tolerance passed a "<= 0" check and left every integral unconverged
+    for bad in (dict(abs_tol=math.nan), dict(rel_tol=math.nan), dict(abs_tol=math.inf),
+                dict(max_depth=-1)):
+        with pytest.raises(ValueError):
+            QuadConfig(**bad)
 
 
 def test_adaptive_smooth():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselkit.special import bessel_i, log_gamma, series_crossover
+from besselkit.special import bessel_i, series_crossover
 
 
 def mp_bessel_i(mu: float, z: float) -> float:
@@ -134,18 +134,3 @@ def test_recurrence_property(mu, z):
 def test_derivative_identity_residual(mu, z):
     assert bessel_i_derivative_identity_check(mu, z) <= 1e-7
 
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    with pytest.raises(ValueError):
-        log_gamma(-1.0)
-
-
-def test_log_gamma_recursion():
-    # Gamma(x+1) = x Gamma(x), chained from a base panel
-    for x0 in (3.7, 0.42, 1.9):
-        lhs = log_gamma(x0 + 3.0)
-        rhs = log_gamma(x0) + math.log(x0) + math.log(x0 + 1.0) + math.log(x0 + 2.0)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
