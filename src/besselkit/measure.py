@@ -35,8 +35,8 @@ class MeasureSpace:
     upper_dim: float = field(init=False)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         object.__setattr__(self, "upper_dim", 2.0 * self.lam + 1.0)
 
     def power_primitive(self, y, shift: float = 0.0):
@@ -66,16 +66,16 @@ class MeasureSpace:
 class Interval:
     """Ball I(center, radius) = (center - radius, center + radius) ∩ (0, inf).
 
-    The left endpoint clamps at 0; center and radius stay positive.
+    The left endpoint clamps at 0; center and radius stay positive and finite.
     """
 
     center: float
     radius: float
 
     def __post_init__(self):
-        if not (self.center > 0 and self.radius > 0):
+        if not (0 < self.center < np.inf and 0 < self.radius < np.inf):
             raise ValueError(
-                f"need center > 0 and radius > 0, got ({self.center}, {self.radius})"
+                f"need a finite center > 0 and radius > 0, got ({self.center}, {self.radius})"
             )
 
     @property
@@ -120,12 +120,10 @@ def _affine_dm(space: MeasureSpace, u, v, a, b):
     )
 
 
-def _split_at_zeros(u, v, a, b):
-    """The pieces (u, v, a, b), each cut in two where a + b*y vanishes inside (u, v)."""
-    yc = np.where(b != 0.0, -a / np.where(b == 0.0, 1.0, b), u)
-    cross = (b != 0.0) & (yc > u) & (yc < v)
-    return (np.concatenate([u, yc[cross]]), np.concatenate([np.where(cross, yc, v), v[cross]]),
-            np.concatenate([a, a[cross]]), np.concatenate([b, b[cross]]))
+def _root(u, v, a, b):
+    """Where a + b*y vanishes, clipped into [u, v]; u where b = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b == 0.0, u, np.minimum(np.maximum(-a / b, u), v))
 
 
 def make_log_grid(xmin: float, xmax: float, n: int) -> np.ndarray:
@@ -187,82 +185,83 @@ class GridFunction:
 
     # -- exact segment decomposition -------------------------------------
 
-    def segments(self, lo: float | None = None, hi: float | None = None):
-        """Affine pieces (u, v, a, b) with f(y) = a + b*y on (u, v).
+    def segments(self, lo=None, hi=None):
+        """Affine pieces (k, u, v, a, b): f(y) = a + b*y on (u, v) in window k.
 
-        Pieces are clipped to [lo, hi] ∩ [nodes[0], nodes[-1]]; for pconst
-        interpolation b = 0 on every piece.
+        Window ends broadcast, k indexes them flattened, and pieces are clipped
+        to their window and to [nodes[0], nodes[-1]]; no ends is the whole grid
+        (k = 0).  For pconst interpolation b = 0 on every piece.
         """
-        lo = self.nodes[0] if lo is None else max(lo, self.nodes[0])
-        hi = self.nodes[-1] if hi is None else min(hi, self.nodes[-1])
-        if hi <= lo:
-            return np.empty(0), np.empty(0), np.empty(0), np.empty(0)
-        i0 = int(np.searchsorted(self.nodes, lo, side="right") - 1)
-        i1 = int(np.searchsorted(self.nodes, hi, side="left"))
-        left = self.nodes[i0:i1].copy()
-        right = self.nodes[i0 + 1 : i1 + 1].copy()
+        nodes, values = self.nodes, self.values
+        lo, hi = np.broadcast_arrays(nodes[0] if lo is None else lo, nodes[-1] if hi is None else hi)
+        lo, hi = np.maximum(lo.ravel(), nodes[0]), np.minimum(hi.ravel(), nodes[-1])
+        if np.isnan(lo + hi).any():  # after the clip both are finite unless nan
+            raise ValueError("window ends must not be nan")
+        i0 = np.searchsorted(nodes, lo, side="right") - 1
+        count = np.where(hi > lo, np.searchsorted(nodes, hi, side="left") - i0, 0)
+        k = np.repeat(np.arange(lo.size), count)
+        i = np.arange(k.size) + np.repeat(i0 - np.cumsum(count) + count, count)
         if self.interp == "linear":
-            b = (self.values[i0 + 1 : i1 + 1] - self.values[i0:i1]) / (right - left)
-            a = self.values[i0:i1] - b * left
+            b = (values[i + 1] - values[i]) / (nodes[i + 1] - nodes[i])
+            a = values[i] - b * nodes[i]
         else:
-            a = self.values[i0:i1].copy()
-            b = np.zeros_like(a)
-        left[0] = lo
-        right[-1] = hi
-        keep = right > left
-        return left[keep], right[keep], a[keep], b[keep]
+            a, b = values[i], np.zeros(i.size)
+        return k, np.maximum(nodes[i], lo[k]), np.minimum(nodes[i + 1], hi[k]), a, b
 
-    def integrate_dm(self, space: MeasureSpace, lo=None, hi=None) -> float:
-        """Exact ∫ f dm over [lo, hi] (defaults to the full support)."""
-        return float(np.sum(_affine_dm(space, *self.segments(lo, hi))))
+    def integrate_dm(self, space: MeasureSpace, lo=None, hi=None):
+        """Exact ∫ f dm over each window [lo, hi] (default: the support); ends broadcast."""
+        windows = np.broadcast(lo, hi)
+        k, *pieces = self.segments(lo, hi)
+        total = np.bincount(k, _affine_dm(space, *pieces), minlength=windows.size)
+        return total.reshape(windows.shape) if windows.shape else float(total[0])
 
-    def mean_dm(self, space: MeasureSpace, iv: Interval) -> float:
-        """m-average of f over all of I, with f = 0 off the grid."""
-        return self.integrate_dm(space, iv.left, iv.right) / measure_interval(space, iv)
+    def integrate_abs_dev_dm(self, space: MeasureSpace, c, lo=None, hi=None):
+        """Exact ∫ |f - c| dm over each window [lo, hi] (default: the support).
 
-    def integrate_abs_dev_dm(self, space: MeasureSpace, c: float, lo=None, hi=None) -> float:
-        """Exact ∫ |f - c| dm over [lo, hi] (defaults to the full support).
-
-        On the grid, pieces are split where f - c changes sign; off the grid
-        f = 0, so the integrand there is |c|.
+        c, lo and hi broadcast.  Each piece is integrated on either side of the
+        root of f - c; off the grid f = 0, so the integrand there is |c|.
         """
         n0, n1 = self.support
-        lo = n0 if lo is None else lo
-        hi = n1 if hi is None else hi
-        u, v, a, b = self.segments(lo, hi)
-        inside = np.sum(np.abs(_affine_dm(space, *_split_at_zeros(u, v, a - c, b))))
-        c0, c1 = np.clip((n0, n1), lo, hi)
-        outside = space.segment_measure(lo, c0) + space.segment_measure(c1, hi)
-        return float(inside + abs(c) * outside)
+        c, lo, hi = np.broadcast_arrays(c, n0 if lo is None else lo, n1 if hi is None else hi)
+        if not np.isfinite([c, lo, hi]).all():
+            raise ValueError("need a finite c and finite window ends")
+        k, u, v, a, b = self.segments(lo, hi)
+        a = a - c.ravel()[k]
+        y = _root(u, v, a, b)
+        inside = np.abs(_affine_dm(space, u, y, a, b)) + np.abs(_affine_dm(space, y, v, a, b))
+        c0, c1 = np.clip(n0, lo, hi), np.clip(n1, lo, hi)
+        outside = np.abs(c) * (space.segment_measure(lo, c0) + space.segment_measure(c1, hi))
+        total = np.bincount(k, inside, minlength=c.size) + outside.ravel()
+        return total.reshape(c.shape) if c.ndim else float(total[0])
 
     def abs(self) -> "GridFunction":
         """Exact |f| as a grid function (zero crossings become new nodes)."""
         if self.interp == "pconst":
             return GridFunction(self.nodes, np.abs(self.values), "pconst")
-        u, v, _, _ = _split_at_zeros(*self.segments())
-        nodes = np.unique(np.concatenate([u, v]))
+        _, u, v, a, b = self.segments()
+        nodes = np.unique(np.concatenate([u, v, _root(u, v, a, b)]))
         return GridFunction(nodes, np.abs(self(nodes)), "linear")
 
 
 class GridCumulative:
     """Vectorized exact windowed integrals ∫_[lo, hi] f dm of one grid function.
 
-    Prefix sums over the affine pieces of f make each window query O(log n);
-    each step of the maximal function's supremum queries every breakpoint.
+    Prefix sums over ``pieces`` = f.segments() make each window query
+    O(log n); each step of the maximal function's supremum queries every breakpoint.
     """
 
     def __init__(self, space: MeasureSpace, f: GridFunction):
         self.space = space
-        u, v, a, b = f.segments()
-        self._u, self._a, self._b = u, a, b
+        self.pieces = _, u, v, a, b = f.segments()
         self._edges = np.concatenate([u, v[-1:]])
         self._prefix = np.concatenate([[0.0], np.cumsum(_affine_dm(space, u, v, a, b))])
 
     def _upto(self, y):
         """∫ f dm over [support lo, y], vectorized and exact."""
+        _, u, _, a, b = self.pieces
         y = np.clip(np.asarray(y, dtype=float), self._edges[0], self._edges[-1])
-        idx = np.clip(np.searchsorted(self._edges, y, side="right") - 1, 0, self._u.size - 1)
-        partial = _affine_dm(self.space, self._u[idx], y, self._a[idx], self._b[idx])
+        idx = np.clip(np.searchsorted(self._edges, y, side="right") - 1, 0, u.size - 1)
+        partial = _affine_dm(self.space, u[idx], y, a[idx], b[idx])
         return self._prefix[idx] + partial
 
     def between(self, lo, hi):

@@ -60,6 +60,13 @@ def test_invalid_construction():
         Interval(-1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(1.0, 0.0)
+    # inf passes a bare "> 0" check and then turns measures into nan
+    with pytest.raises(ValueError):
+        MeasureSpace(np.inf)
+    with pytest.raises(ValueError):
+        Interval(np.inf, 1.0)
+    with pytest.raises(ValueError):
+        Interval(1.0, np.inf)
 
 
 def test_doubling_ratio_closed_form():
@@ -216,7 +223,7 @@ def test_integrate_dm_window_and_mean():
     nodes = np.linspace(1.0, 3.0, 201)
     f = GridFunction(nodes, nodes.copy())  # f(x) = x exactly on the grid
     # closed form: f_I = (int x * x dx) / (int x dx) over (1, 3) = 26/12
-    mean = f.mean_dm(space, Interval(2.0, 1.0))
+    mean = f.integrate_dm(space, 1.0, 3.0) / measure_interval(space, Interval(2.0, 1.0))
     assert mean == pytest.approx(26.0 / 12.0, rel=1e-12)
 
 
@@ -257,3 +264,64 @@ def test_integrate_grid_linearity(lam, c1, c2):
     rhs = c1 * f.integrate_dm(space) + c2 * g.integrate_dm(space)
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
+
+# ------------------------------------------------------- arrays of windows
+
+# windows inside the grid, straddling either end, off it on either side,
+# empty, clipped at 0, covering it, and ending on nodes; one c per window
+WINDOWS_LO = np.array([1.1, 0.3, 2.1, 2.6, 0.1, 1.5, 0.0, 0.0, 0.8])
+WINDOWS_HI = np.array([1.9, 0.9, 3.0, 3.5, 0.4, 1.5, 1.2, 5.0, 2.0])
+WINDOWS_C = np.array([0.2, -0.1, 0.0, 0.3, 0.5, 0.1, 0.25, -0.2, 0.35])
+# sign changes inside cells, a zero exactly at the node 1.0, a flat zero cell
+SIGNED_NODES = np.array([0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.4])
+SIGNED_VALUES = np.array([1.0, -0.5, 0.0, 0.0, 0.7, -0.3, 0.4])
+
+
+@pytest.mark.parametrize("interp", ["linear", "pconst"])
+def test_arrays_of_windows_equal_scalar_calls(interp):
+    space = MeasureSpace(0.75)
+    f = GridFunction(SIGNED_NODES, SIGNED_VALUES, interp)
+    lo, hi, c = WINDOWS_LO, WINDOWS_HI, WINDOWS_C
+    ints = f.integrate_dm(space, lo, hi)
+    devs = f.integrate_abs_dev_dm(space, c, lo, hi)
+    for j in range(lo.size):
+        assert ints[j] == pytest.approx(f.integrate_dm(space, lo[j], hi[j]), rel=1e-13, abs=0.0)
+        assert devs[j] == pytest.approx(f.integrate_abs_dev_dm(space, c[j], lo[j], hi[j]),
+                                        rel=1e-13, abs=0.0)
+    assert np.array_equal(f.integrate_dm(space, lo[:, None], hi[None, :]),
+                          [[f.integrate_dm(space, a, b) for b in hi] for a in lo])
+    for j in (0, 2, 6):  # inside, straddling the right end, clipped at 0
+        x, y = SIGNED_NODES, SIGNED_VALUES - c[j]
+        s = (y[:-1] * y[1:] < 0) & (interp == "linear")  # zeros of f - c inside cells
+        kinks = np.concatenate([x, x[:-1][s] - y[:-1][s] * np.diff(x)[s] / np.diff(y)[s]])
+        pts = kinks[(kinks > lo[j]) & (kinks < hi[j])]
+        ref = quad(lambda t: abs(f(t) - c[j]) * t ** 1.5, lo[j], hi[j], points=pts,
+                   epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        assert devs[j] == pytest.approx(ref, rel=1e-12)
+
+
+def test_abs_nodes_equal_the_split_at_zeros_construction():
+    # reference: every affine piece cut in two at a zero strictly inside it
+    f = GridFunction(SIGNED_NODES, SIGNED_VALUES)
+    _, u, v, a, b = f.segments()
+    yc = np.where(b != 0.0, -a / np.where(b == 0.0, 1.0, b), u)
+    cross = (b != 0.0) & (yc > u) & (yc < v)
+    nodes = np.unique(np.concatenate([u, yc[cross], np.where(cross, yc, v), v[cross]]))
+    g = f.abs()
+    assert np.array_equal(g.nodes, nodes)
+    assert np.array_equal(g.values, np.abs(f(nodes)))
+
+
+def test_non_finite_windows_and_levels_are_rejected():
+    space = MeasureSpace(1.0)
+    f = GridFunction([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])
+    with pytest.raises(ValueError):
+        f.integrate_dm(space, np.nan, 2.0)
+    with pytest.raises(ValueError):
+        f.integrate_dm(space, 1.5, np.nan)
+    with pytest.raises(ValueError):
+        f.integrate_dm(space, WINDOWS_LO, np.where(WINDOWS_HI > 2.0, np.nan, WINDOWS_HI))
+    with pytest.raises(ValueError):
+        f.integrate_abs_dev_dm(space, np.nan, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        f.integrate_abs_dev_dm(space, 0.5, 1.0, np.inf)

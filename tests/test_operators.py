@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+from besselkit import operators
 from besselkit.kernels import KernelSpec, _poisson_family, frac_kernel, riesz_kernel
 from besselkit.measure import GridFunction, Interval, MeasureSpace, make_log_grid, measure_interval
 from besselkit.operators import (
@@ -220,10 +222,19 @@ def test_frac_alpha_half_interior_against_quadpack():
     got = apply_frac(spec, f, x)
     lo, hi = f.support
     ref = 0.0
-    for a, b in ((lo, x), (x, hi)):
-        pts = f.nodes[(f.nodes > a) & (f.nodes < b)]
-        ref += quad(lambda y: frac_kernel(spec.kernel, x, y) * f(y) * y ** 2, a, b, points=pts,
-                    limit=4 * pts.size + 50, epsabs=1e-13, epsrel=1e-12)[0]
+    # each side of x in s = |y - x|^(1/2), where the integrand is bounded; a
+    # QUADPACK warning means the reference is not converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for sign, end in ((-1.0, lo), (1.0, hi)):
+            pts = np.sqrt(np.abs(f.nodes[np.sign(f.nodes - x) == sign] - x))
+
+            def integrand(s, sign=sign):
+                y = x + sign * s * s
+                return frac_kernel(spec.kernel, x, y) * f(y) * y ** 2 * 2.0 * s
+
+            ref += quad(integrand, 0.0, math.sqrt(abs(end - x)), points=pts,
+                        limit=4 * pts.size + 50, epsabs=1e-13, epsrel=1e-12)[0]
     assert got == pytest.approx(ref, rel=1e-9)
 
 
@@ -367,6 +378,26 @@ def test_hl_maximal_rejects_negative_x():
         hl_maximal_t(SP, f, -1.0, 2.0)
 
 
+def test_maximal_functions_reject_non_finite_input():
+    # inf passes the bare range checks and turns into nan arithmetic
+    f = GridFunction([1.0, 2.0], [1.0, 1.0], "pconst")
+    with pytest.raises(ValueError):
+        hl_maximal(SP, f, math.inf)
+    with pytest.raises(ValueError):
+        hl_maximal_t(SP, f, math.inf, 2.0)
+    with pytest.raises(ValueError):
+        LadderConfig(0.1, math.inf)
+    lad = LadderConfig(0.05, 2.0)
+    fam = oscillation_family(SP, f)
+    for x in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            h_beta_maximal(SP, fam, 0.5, x, lad)
+    with pytest.raises(ValueError):  # a centre at 0 within reach of x
+        h_beta_maximal(SP, fam, 0.5, 0.5, lad, centers=np.array([0.0, 1.0]))
+    # centres out of reach of x are never used
+    assert h_beta_maximal(SP, fam, 0.5, 1.5, lad, centers=np.array([-5.0, 1.0])) >= 0.0
+
+
 def test_hl_maximal_homogeneous_in_f():
     nodes = np.linspace(0.5, 4.0, 100)
     f = GridFunction(nodes, np.sin(nodes))
@@ -416,13 +447,13 @@ def test_igamma_validates_gamma():
 def test_h_beta_trivials():
     lad = LadderConfig(0.05, 2.0)
 
-    def unit_family(iv):
-        return measure_interval(SP, iv)  # integral of 1 over I
+    def unit_family(c, r):
+        return SP.ball_measure(c, r)  # integral of 1 over I
 
     assert h_beta_maximal(SP, unit_family, 0.0, 1.0, lad) == pytest.approx(1.0)
 
-    def zero_family(iv):
-        return 0.0
+    def zero_family(c, r):
+        return np.zeros(np.shape(c))
 
     assert h_beta_maximal(SP, zero_family, 0.5, 1.0, lad) == 0.0
 
@@ -453,9 +484,9 @@ def test_maximal_exponents_reject_nan():
 def test_h_beta_divergence_flag():
     lad = LadderConfig(0.05, 2.0)
 
-    def exploding_family(iv):
+    def exploding_family(c, r):
         # grows faster than any measure power: sup cannot stabilize
-        return measure_interval(SP, iv) ** -2.0
+        return SP.ball_measure(c, r) ** -2.0
 
     assert h_beta_maximal(SP, exploding_family, 0.5, 1.0, lad) == float("inf")
 
@@ -466,7 +497,7 @@ def test_oscillation_family_counts_the_interval_off_the_grid():
     iv = Interval(1.5, 1.5)
     mean = quad(lambda t: g(t) * t * t, 0.0, 3.0, points=[1.0, 2.0])[0] / measure_interval(SP, iv)
     ref = quad(lambda t: abs(g(t) - mean) * t * t, 0.0, 3.0, points=[1.0, 2.0], epsabs=1e-14)[0]
-    assert oscillation_family(SP, g)(iv) == pytest.approx(ref, rel=1e-12)
+    assert oscillation_family(SP, g)(iv.center, iv.radius) == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("ladder", [LadderConfig(0.05, 2.0), LadderConfig(0.125, 2.0, 2.0)])
@@ -481,9 +512,9 @@ def test_h_beta_one_scan_matches_two_scan_reference(ladder, with_centers):
     osc = oscillation_family(SP, g)
     calls = []
 
-    def family(iv):
-        calls.append((iv.center, iv.radius))
-        return osc(iv)
+    def family(c, r):
+        calls.extend(zip(c, r))
+        return osc(c, r)
 
     expo = -(1.0 + beta / SP.upper_dim)
 
@@ -493,7 +524,7 @@ def test_h_beta_one_scan_matches_two_scan_reference(ladder, with_centers):
             cand = [x] if centers is None else [*centers[np.abs(centers - x) < r], x]
             for c in cand:
                 iv = Interval(float(c), float(r))
-                best = max(best, measure_interval(SP, iv) ** expo * osc(iv))
+                best = max(best, measure_interval(SP, iv) ** expo * osc(iv.center, iv.radius))
         return best
 
     # the definition: scan the given ladder, then its refinement, then
@@ -515,9 +546,35 @@ def test_h_beta_reads_the_coarse_sup_off_the_given_radii(ladder):
     # sup is read off all the given radii and no others
     coarse = ladder.radii()
     for k in range(coarse.size):
-        def family(iv):
-            on = np.isclose(iv.radius, coarse, rtol=1e-9)
-            weight = float(on[k]) if on.any() else 3.0
-            return measure_interval(SP, iv) ** (1.0 + 0.5 / SP.upper_dim) * weight
+        def family(c, r, k=k):
+            on = np.isclose(r[:, None], coarse, rtol=1e-9)
+            weight = np.where(on.any(axis=1), on[:, k], 3.0)
+            return SP.ball_measure(c, r) ** (1.0 + 0.5 / SP.upper_dim) * weight
 
         assert h_beta_maximal(SP, family, 0.5, 1.0, ladder) == float("inf")
+
+
+def test_h_beta_hands_the_family_at_most_the_pair_cap():
+    # all of a 2000-node grid's nodes as centres, on the benchmark's ladder:
+    # every pair the mask admits reaches the family, in calls of at most the
+    # cap, where all pairs in one call would take GBs of pieces
+    rng = np.random.default_rng(5)
+    nodes = np.sort(rng.uniform(0.05, 5.0, 2000))
+    g = GridFunction(nodes, ((nodes > 1.2) & (nodes < 2.9)).astype(float), "pconst")
+    lo, hi = g.support
+    ladder = LadderConfig((hi - lo) * 1e-3, 4.0 * (hi - lo))
+    x = 2.5
+    sizes = []
+
+    def family(c, r):  # records the calls; the values do not matter here
+        sizes.append(c.size)
+        return np.zeros(c.size)
+
+    radii = ladder.refine().radii()
+    pairs = sum(1 + int(np.sum((nodes > x - r) & (nodes < x + r))) for r in radii)
+    assert h_beta_maximal(SP, family, 0.3, x, ladder, centers=g.nodes) == 0.0
+    assert max(sizes) <= operators._FAMILY_PAIRS
+    assert sum(sizes) == pairs
+    sizes.clear()
+    h_beta_maximal(SP, family, 0.3, x, ladder)
+    assert sizes == [radii.size]
