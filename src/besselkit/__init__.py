@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- ``measure``    -- the measure space, intervals, grids, exact grid integrals
+- ``measure``    -- the measure space, ball volumes, grids, exact grid integrals
 - ``special``    -- modified Bessel I_mu
 - ``quadrature`` -- adaptive and principal-value integration
 - ``kernels``    -- heat, Poisson, conjugate-Poisson, Riesz and fractional kernels
@@ -12,12 +12,10 @@ Layers, bottom up:
 
 from .measure import (
     GridFunction,
-    Interval,
     MeasureSpace,
     comparable_volume,
     doubling_ratio,
     make_log_grid,
-    measure_interval,
 )
 from .special import bessel_i
 
@@ -25,9 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeasureSpace",
-    "Interval",
     "GridFunction",
-    "measure_interval",
     "doubling_ratio",
     "comparable_volume",
     "make_log_grid",

@@ -1,6 +1,7 @@
 """Pointwise kernels on the weighted half-line.
 
-Five families, all positive-homogeneous of an exact degree:
+Five families, the kinds of a ``KernelSpec``, each evaluated by
+``kernel_value`` and positive-homogeneous of an exact degree:
 
 - heat          W_t(x, y)   degree -Q with t ~ length^2
 - poisson       P_t(x, y)   degree -Q with t ~ length
@@ -35,9 +36,9 @@ from its B/A:
 
 Then P_t = (2 lam t / pi) J0, Q_t = -(2 lam / pi)(x J0 - y J1) and R = Q_0.
 The fractional kernel is one 2F1 in the same Landen variable (see
-``frac_kernel``).  With ``with_error=True`` each kernel reports a bound made
-of hyp2f1's own error and the effect eps z |F'(z)| of rounding each 2F1
-argument, carried through the prefactors and the sum; the slope F' is
+``_fractional``).  With ``with_error=True`` ``kernel_value`` reports a bound
+made of hyp2f1's own error and the effect eps z |F'(z)| of rounding each
+2F1 argument, carried through the prefactors and the sum; the slope F' is
 evaluated only then.
 
 The heat kernel is evaluated in the fused overflow-safe form
@@ -60,16 +61,7 @@ from .measure import MeasureSpace
 from .quadrature import QuadConfig
 from .special import bessel_i
 
-__all__ = [
-    "KernelSpec",
-    "heat_kernel",
-    "poisson_kernel",
-    "conj_poisson_kernel",
-    "riesz_kernel",
-    "frac_kernel",
-    "kernel_value",
-    "theta_moments",
-]
+__all__ = ["KernelSpec", "kernel_value", "theta_moments"]
 
 _KINDS = ("heat", "poisson", "conj_poisson", "riesz", "fractional")
 
@@ -93,8 +85,8 @@ class KernelSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind in ("heat", "poisson", "conj_poisson"):
-            if self.t is None or not self.t > 0:
-                raise ValueError(f"{self.kind} kernel needs t > 0")
+            if self.t is None or not 0 < self.t < math.inf:
+                raise ValueError(f"{self.kind} kernel needs a finite t > 0")
         if self.kind == "fractional":
             if self.alpha is None or not 0 < self.alpha < self.space.upper_dim:
                 raise ValueError("fractional kernel needs 0 < alpha < upper_dim")
@@ -190,40 +182,19 @@ def theta_moments(lam: float, A, B):
 
 
 # ---------------------------------------------------------------------------
-# kernel families
+# kernel families: the rows of _DISPATCH take x and y already broadcast and
+# return (value, error or None)
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_xy(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("kernel arguments must be positive")
-    return x.astype(float), y.astype(float), scalar
-
-
-def _result(val, err, scalar: bool):
-    """What a kernel returns: the value, or (value, error) if err is not None."""
-    if scalar:
-        val = float(val[0])
-        err = None if err is None else float(err[0])
-    return val if err is None else (val, err)
-
-
-def heat_kernel(spec: KernelSpec, x, y, with_error: bool = False):
+def _heat(spec: KernelSpec, x, y, with_error: bool):
     """Heat kernel W_t(x, y); exact formula, overflow-safe Bessel fusion."""
-    if spec.kind != "heat":
-        raise ValueError("spec.kind must be 'heat'")
-    x, y, scalar = _broadcast_xy(x, y)
     t = spec.t
     lam = spec.space.lam
     z = x * y / (2.0 * t)
     pref = (0.5 / t) * np.exp(-((x - y) ** 2) / (4.0 * t)) * (x * y) ** (0.5 - lam)
     val = pref * bessel_i(lam - 0.5, z, scaled=True)
-    err = 1e-13 * np.abs(val) if with_error else None
-    return _result(val, err, scalar)
+    return val, 1e-13 * np.abs(val) if with_error else None
 
 
 def _poisson_family(lam: float, x, y, t: float, signed: bool, with_error: bool):
@@ -244,44 +215,19 @@ def _poisson_family(lam: float, x, y, t: float, signed: bool, with_error: bool):
     return -c * m, c * em
 
 
-def poisson_kernel(spec: KernelSpec, x, y, with_error: bool = False):
-    """Poisson kernel P_t(x, y) > 0."""
-    if spec.kind != "poisson":
-        raise ValueError("spec.kind must be 'poisson'")
-    x, y, scalar = _broadcast_xy(x, y)
-    val, err = _poisson_family(spec.space.lam, x, y, spec.t, False, with_error)
-    return _result(val, err, scalar)
-
-
-def conj_poisson_kernel(spec: KernelSpec, x, y, with_error: bool = False):
-    """Conjugate Poisson kernel Q_t(x, y); signed."""
-    if spec.kind != "conj_poisson":
-        raise ValueError("spec.kind must be 'conj_poisson'")
-    x, y, scalar = _broadcast_xy(x, y)
-    val, err = _poisson_family(spec.space.lam, x, y, spec.t, True, with_error)
-    return _result(val, err, scalar)
-
-
-def riesz_kernel(spec: KernelSpec, x, y, with_error: bool = False):
+def _riesz(spec: KernelSpec, x, y, with_error: bool):
     """Riesz transform kernel R(x, y): the t -> 0 conjugate-Poisson limit.
 
     Signed: positive for y > x, negative for y < x.  Arguments closer to the
     diagonal than RIESZ_DIAGONAL_GUARD * x are refused; that regime belongs
     to the principal-value integrator, not pointwise evaluation.
     """
-    if spec.kind != "riesz":
-        raise ValueError("spec.kind must be 'riesz'")
-    x, y, scalar = _broadcast_xy(x, y)
     if np.any(np.abs(x - y) < RIESZ_DIAGONAL_GUARD * x):
         raise ValueError("arguments too close to the diagonal; use the PV machinery")
-    val, err = _poisson_family(spec.space.lam, x, y, 0.0, True, with_error)
-    return _result(val, err, scalar)
+    return _poisson_family(spec.space.lam, x, y, 0.0, True, with_error)
 
 
-# -- fractional kernel -------------------------------------------------------
-
-
-def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
+def _fractional(spec: KernelSpec, x, y, with_error: bool):
     """Kernel of the fractional power: heat subordination of order alpha.
 
     K_a(x, y) = Gamma(a)^(-1) * int_0^inf W_t(x, y) t^(a/2 - 1) dt.  With
@@ -293,9 +239,6 @@ def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
     and its Euler transform 2F1(nu, 1 - a/2; lam + 1/2; r^2) for a >= 1, the
     form that stays finite at r = 1.  1 - r^2 is formed without cancellation.
     """
-    if spec.kind != "fractional":
-        raise ValueError("spec.kind must be 'fractional'")
-    x, y, scalar = _broadcast_xy(x, y)
     if np.any(x == y):
         raise ValueError("fractional kernel is singular on the diagonal")
     lam, alpha = spec.space.lam, spec.alpha
@@ -309,20 +252,33 @@ def frac_kernel(spec: KernelSpec, x, y, with_error: bool = False):
         f, df = _hyp2f1(0.5 * alpha, lam - 0.5 + 0.5 * alpha, lam + 0.5, z, with_error)
     else:
         f, df = _hyp2f1(nu, 1.0 - 0.5 * alpha, lam + 0.5, z, with_error)
-    val = pref * f
-    err = pref * df if with_error else None
-    return _result(val, err, scalar)
+    return pref * f, pref * df if with_error else None
 
 
 _DISPATCH = {
-    "heat": heat_kernel,
-    "poisson": poisson_kernel,
-    "conj_poisson": conj_poisson_kernel,
-    "riesz": riesz_kernel,
-    "fractional": frac_kernel,
+    "heat": _heat,
+    "poisson": lambda spec, x, y, e: _poisson_family(spec.space.lam, x, y, spec.t, False, e),
+    "conj_poisson": lambda spec, x, y, e: _poisson_family(spec.space.lam, x, y, spec.t, True, e),
+    "riesz": _riesz,
+    "fractional": _fractional,
 }
 
 
 def kernel_value(spec: KernelSpec, x, y, with_error: bool = False):
-    """Evaluate whichever kernel the spec names."""
-    return _DISPATCH[spec.kind](spec, x, y, with_error=with_error)
+    """The kernel that ``spec.kind`` names, at positive finite x and y.
+
+    x and y broadcast: two scalars give a float, anything else an array of
+    the broadcast shape.  With ``with_error=True`` the result is
+    (value, error bound), both of that shape.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (((0 < x) & (x < np.inf)).all() and ((0 < y) & (y < np.inf)).all()):
+        raise ValueError("kernel arguments must be positive and finite")
+    scalar = x.ndim == 0 and y.ndim == 0
+    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+    val, err = _DISPATCH[spec.kind](spec, x.astype(float), y.astype(float), with_error)
+    if scalar:
+        val = float(val[0])
+        err = None if err is None else float(err[0])
+    return (val, err) if with_error else val

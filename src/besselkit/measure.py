@@ -1,9 +1,10 @@
-"""Half-line measure space (R+, |.|, x^(2*lambda) dx): intervals, volumes, grids.
+"""Half-line measure space (R+, |.|, x^(2*lambda) dx): ball volumes, grids.
 
 Everything downstream (kernels, operators, maximal functions) runs on top of
 the weighted measure m(dy) = y^(2*lambda) dy.  Ball volumes have a closed
-form, so interval measures, grid integrals of piecewise interpolants and
-mean values are all computed exactly (up to float rounding) here.
+form, so the measures of balls I(x, r) = (x - r, x + r) clipped to (0, inf),
+grid integrals of piecewise interpolants and mean values are all computed
+exactly (up to float rounding) here.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "MeasureSpace",
-    "Interval",
     "GridFunction",
-    "measure_interval",
     "doubling_ratio",
     "comparable_volume",
     "make_log_grid",
@@ -62,43 +61,15 @@ class MeasureSpace:
         return self.power_primitive(hi) - self.power_primitive(lo)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Ball I(center, radius) = (center - radius, center + radius) ∩ (0, inf).
-
-    The left endpoint clamps at 0; center and radius stay positive and finite.
-    """
-
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        if not (0 < self.center < np.inf and 0 < self.radius < np.inf):
-            raise ValueError(
-                f"need a finite center > 0 and radius > 0, got ({self.center}, {self.radius})"
-            )
-
-    @property
-    def left(self) -> float:
-        return max(self.center - self.radius, 0.0)
-
-    @property
-    def right(self) -> float:
-        return self.center + self.radius
-
-    def dilate(self, factor: float) -> "Interval":
-        """Concentric dilation: same center, radius scaled by ``factor``."""
-        return Interval(self.center, self.radius * factor)
+def _check_ball(x, r) -> None:
+    if not (0 < x < np.inf and 0 < r < np.inf):
+        raise ValueError(f"need a finite x > 0 and r > 0, got ({x}, {r})")
 
 
-def measure_interval(space: MeasureSpace, iv: Interval) -> float:
-    """Exact measure of a clipped interval: closed-form power antiderivative."""
-    return float(space.ball_measure(iv.center, iv.radius))
-
-
-def doubling_ratio(space: MeasureSpace, iv: Interval) -> float:
-    """m(2I)/m(I) for the concentric double.  Always <= 2**upper_dim."""
-    return measure_interval(space, iv.dilate(2.0)) / measure_interval(space, iv)
+def doubling_ratio(space: MeasureSpace, x: float, r: float) -> float:
+    """m(I(x, 2r))/m(I(x, r)) for the concentric double.  Always <= 2**upper_dim."""
+    _check_ball(x, r)
+    return float(space.ball_measure(x, 2.0 * r)) / float(space.ball_measure(x, r))
 
 
 def comparable_volume(space: MeasureSpace, x: float, r: float) -> float:
@@ -108,8 +79,7 @@ def comparable_volume(space: MeasureSpace, x: float, r: float) -> float:
     fixed positive band over all scales (it tends to 2 for x >> r and to
     1/Q in the fully clipped regime r >> x).
     """
-    if not (x > 0 and r > 0):
-        raise ValueError("x and r must be positive")
+    _check_ball(x, r)
     return x ** (2.0 * space.lam) * r + r ** space.upper_dim
 
 

@@ -83,21 +83,30 @@ class LadderConfig:
 # ---------------------------------------------------------------------------
 
 
+def _density(k: KernelSpec, f: GridFunction, x: float):
+    """y -> K(x, y) f(y) y^(2 lam), the integrand of (Tf)(x) against dy."""
+    w = 2.0 * k.space.lam
+
+    def density(y):
+        return kernel_value(k, x, y) * f(y) * y ** w
+
+    return density
+
+
+def _value(res: IntegralResult, what: str) -> float:
+    if not res.converged:
+        raise ArithmeticError(f"{what} did not converge")
+    return res.value
+
+
 def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     """(K_t f)(x) = ∫ K_t(x, y) f(y) dm(y) for the heat/Poisson families."""
     k = spec.kernel
     if k.kind not in ("heat", "poisson", "conj_poisson"):
         raise ValueError("apply_semigroup expects a heat or Poisson-type kernel")
     lo, hi = f.support
-    w = 2.0 * k.space.lam
-
-    def integrand(y):
-        return kernel_value(k, x, y) * f(y) * y ** w
-
-    res = integrate_adaptive(integrand, lo, hi, k.quad, f.nodes)
-    if not res.converged:
-        raise ArithmeticError("semigroup application did not converge")
-    return res.value
+    res = integrate_adaptive(_density(k, f, x), lo, hi, k.quad, f.nodes)
+    return _value(res, "semigroup application")
 
 
 def _outside_band(g, x: float):
@@ -125,18 +134,11 @@ def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     if k.kind != "riesz":
         raise ValueError("apply_riesz expects the riesz kernel")
     lo, hi = f.support
-    w = 2.0 * k.space.lam
-
-    def integrand(y):
-        return kernel_value(k, x, y) * f(y) * y ** w
-
+    density = _density(k, f, x)
     if not lo < x < hi:
-        res = integrate_adaptive(integrand, lo, hi, k.quad, f.nodes)
-        if not res.converged:
-            raise ArithmeticError("riesz application did not converge")
-        return res.value
+        return _value(integrate_adaptive(density, lo, hi, k.quad, f.nodes), "riesz application")
     c = k.space.lam * f(x) / (math.pi * x)
-    subtracted = _outside_band(lambda y: integrand(y) - c * np.log(np.abs(y - x)), x)
+    subtracted = _outside_band(lambda y: density(y) - c * np.log(np.abs(y - x)), x)
     res = integrate_pv(subtracted, x, lo, hi, spec.pv, f.nodes)
     return res.value + c * sum(L * math.log(L) - L for L in (x - lo, hi - x))
 
@@ -149,6 +151,8 @@ def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
     the diagonal, and r never comes from rounding x - u.  The nodes on each
     side are its breakpoints in s.
     """
+    if not 0 <= x < math.inf:
+        raise ValueError(f"need a finite x >= 0, got {x}")
     pieces = []
     for sign, r0, r1 in ((-1.0, max(x - hi, 0.0), x - lo), (1.0, max(lo - x, 0.0), hi - x)):
         if r1 <= r0:
@@ -174,15 +178,9 @@ def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     if k.kind != "fractional":
         raise ValueError("apply_frac expects the fractional kernel")
     lo, hi = f.support
-    w = 2.0 * k.space.lam
-
-    def integrand(y, r):
-        return kernel_value(k, x, y) * f(y) * y ** w
-
-    res = _radial(integrand, x, lo, hi, min(k.alpha, 1.0), k.quad, f.nodes)
-    if not res.converged:
-        raise ArithmeticError("fractional application did not converge")
-    return res.value
+    density = _density(k, f, x)
+    res = _radial(lambda y, r: density(y), x, lo, hi, min(k.alpha, 1.0), k.quad, f.nodes)
+    return _value(res, "fractional application")
 
 
 def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
@@ -207,10 +205,7 @@ def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
 
     if k.kind == "riesz":
         integrand = _outside_band(integrand, x)
-    res = integrate_adaptive(integrand, lo, hi, k.quad, breaks)
-    if not res.converged:
-        raise ArithmeticError("commutator quadrature did not converge")
-    return res.value
+    return _value(integrate_adaptive(integrand, lo, hi, k.quad, breaks), "commutator quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,8 @@ def hl_maximal(
 def hl_maximal_t(space: MeasureSpace, f: GridFunction, x: float, t_power: float) -> float:
     """M_t f = (M(|f|^t))^(1/t), t >= 1; a linear f is sampled on a
     midpoint-refined carrier grid, a step function on its own nodes."""
-    if not t_power >= 1.0:
-        raise ValueError("need t_power >= 1")
+    if not 1.0 <= t_power < math.inf:
+        raise ValueError(f"need a finite t_power >= 1, got {t_power}")
     nodes = f.nodes
     if f.interp == "linear":  # |f|^t of a step function is exact on f's nodes
         for _ in range(_T_REFINEMENTS):
@@ -290,10 +285,7 @@ def frac_integral_Igamma(
     def integrand(u, r):
         return f(u) * space.ball_measure(x, r) ** (gamma - 1.0) * u ** w
 
-    res = _radial(integrand, x, lo, hi, gamma, cfg, f.nodes)
-    if not res.converged:
-        raise ArithmeticError("fractional integral did not converge")
-    return res.value
+    return _value(_radial(integrand, x, lo, hi, gamma, cfg, f.nodes), "fractional integral")
 
 
 def oscillation_family(space: MeasureSpace, g: GridFunction):
@@ -331,8 +323,8 @@ def h_beta_maximal(
     cand = np.append([] if centers is None else centers, x)
     ri, ci = np.nonzero((cand > x - radii[:, None]) & (cand < x + radii[:, None]))
     c, r = cand[ci], radii[ri]
-    if not (beta >= 0 and 0 < x < math.inf and (c > 0).all()):
-        raise ValueError("need beta >= 0, a finite x > 0 and centers > 0 within reach of x")
+    if not (0 <= beta < math.inf and 0 < x < math.inf and (c > 0).all()):
+        raise ValueError("need finite beta >= 0 and x > 0, and centers > 0 within reach of x")
     fam = np.concatenate([family(c[s:s + _FAMILY_PAIRS], r[s:s + _FAMILY_PAIRS])
                           for s in range(0, c.size, _FAMILY_PAIRS)])
     sup = np.zeros(radii.size)

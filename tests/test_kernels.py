@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from besselkit.kernels import (
-    KernelSpec,
-    conj_poisson_kernel,
-    frac_kernel,
-    heat_kernel,
-    kernel_value,
-    poisson_kernel,
-    riesz_kernel,
-    theta_moments,
-)
-from besselkit.measure import Interval, MeasureSpace, measure_interval
+from besselkit.kernels import KernelSpec, kernel_value, theta_moments
+from besselkit.measure import MeasureSpace
 from besselkit.quadrature import QuadConfig
 from halfline import integrate_halfline
 
@@ -34,6 +25,10 @@ def test_spec_validation():
         KernelSpec("poisson", SP1)  # missing t
     with pytest.raises(ValueError):
         KernelSpec("heat", SP1, t=-1.0)
+    for kind in ("heat", "poisson", "conj_poisson"):  # an infinite t used to pass
+        for t in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                KernelSpec(kind, SP1, t=t)
     with pytest.raises(ValueError):
         KernelSpec("fractional", SP1, alpha=5.0)  # alpha >= Q = 3
     with pytest.raises(ValueError):
@@ -82,7 +77,7 @@ def test_heat_conservation():
         for t in (0.1, 1.0):
             spec = KernelSpec("heat", space, t=t)
             res = integrate_halfline(
-                lambda y: heat_kernel(spec, 1.0, y) * dm_weight(space, y),
+                lambda y: kernel_value(spec, 1.0, y) * dm_weight(space, y),
                 QuadConfig(abs_tol=1e-9),
             )
             assert res.converged
@@ -91,14 +86,14 @@ def test_heat_conservation():
 
 def test_heat_symmetry_exact():
     spec = KernelSpec("heat", SP1, t=0.7)
-    assert heat_kernel(spec, 1.3, 2.9) == heat_kernel(spec, 2.9, 1.3)
+    assert kernel_value(spec, 1.3, 2.9) == kernel_value(spec, 2.9, 1.3)
 
 
 def test_heat_homogeneity_exact():
     space = MeasureSpace(0.7)
     delta = 2.0
-    lhs = heat_kernel(KernelSpec("heat", space, t=delta ** 2 * 0.3), delta * 1.0, delta * 1.5)
-    rhs = delta ** (-space.upper_dim) * heat_kernel(KernelSpec("heat", space, t=0.3), 1.0, 1.5)
+    lhs = kernel_value(KernelSpec("heat", space, t=delta ** 2 * 0.3), delta * 1.0, delta * 1.5)
+    rhs = delta ** (-space.upper_dim) * kernel_value(KernelSpec("heat", space, t=0.3), 1.0, 1.5)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -109,9 +104,9 @@ def test_poisson_conservation_and_positivity():
     space = MeasureSpace(1.0)
     spec = KernelSpec("poisson", space, t=0.5)
     ys = np.geomspace(0.01, 50.0, 200)
-    assert np.all(poisson_kernel(spec, 1.0, ys) > 0)
+    assert np.all(kernel_value(spec, 1.0, ys) > 0)
     res = integrate_halfline(
-        lambda y: poisson_kernel(spec, 1.0, y) * dm_weight(space, y),
+        lambda y: kernel_value(spec, 1.0, y) * dm_weight(space, y),
         QuadConfig(abs_tol=1e-8),
     )
     assert res.converged
@@ -120,16 +115,16 @@ def test_poisson_conservation_and_positivity():
 
 def test_poisson_symmetry():
     spec = KernelSpec("poisson", SP1, t=0.5)
-    a = poisson_kernel(spec, 1.3, 2.9)
-    b = poisson_kernel(spec, 2.9, 1.3)
+    a = kernel_value(spec, 1.3, 2.9)
+    b = kernel_value(spec, 2.9, 1.3)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_poisson_homogeneity():
     # P_{dt}(dx, dy) = d^-Q P_t(x, y), spot check at d = 3
     d = 3.0
-    lhs = poisson_kernel(KernelSpec("poisson", SP1, t=d * 1.0), d * 1.0, d * 2.0)
-    rhs = d ** (-SP1.upper_dim) * poisson_kernel(KernelSpec("poisson", SP1, t=1.0), 1.0, 2.0)
+    lhs = kernel_value(KernelSpec("poisson", SP1, t=d * 1.0), d * 1.0, d * 2.0)
+    rhs = d ** (-SP1.upper_dim) * kernel_value(KernelSpec("poisson", SP1, t=1.0), 1.0, 2.0)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -137,15 +132,15 @@ def test_poisson_homogeneity():
 
 
 def test_conj_poisson_decay_in_t():
-    vals = [abs(conj_poisson_kernel(KernelSpec("conj_poisson", SP1, t=t), 1.0, 2.0))
+    vals = [abs(kernel_value(KernelSpec("conj_poisson", SP1, t=t), 1.0, 2.0))
             for t in (2.0, 8.0, 32.0, 128.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-5
 
 
 def test_conj_poisson_riesz_limit():
-    target = riesz_kernel(KernelSpec("riesz", SP1), 1.0, 2.0)
-    gaps = [abs(conj_poisson_kernel(KernelSpec("conj_poisson", SP1, t=t), 1.0, 2.0) - target)
+    target = kernel_value(KernelSpec("riesz", SP1), 1.0, 2.0)
+    gaps = [abs(kernel_value(KernelSpec("conj_poisson", SP1, t=t), 1.0, 2.0) - target)
             for t in (0.1, 0.01, 0.001)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-6
@@ -153,7 +148,7 @@ def test_conj_poisson_riesz_limit():
 
 def test_conj_poisson_sign_far_below():
     spec = KernelSpec("conj_poisson", SP1, t=0.01)
-    assert conj_poisson_kernel(spec, 10.0, 0.1) < 0
+    assert kernel_value(spec, 10.0, 0.1) < 0
 
 
 # ---------------------------------------------------------------- riesz
@@ -164,14 +159,14 @@ def test_riesz_signs_and_near_diagonal_size():
     # positive just above the diagonal, negative just below (scale-free band)
     for x in (0.1, 1.0, 10.0):
         for rho in (1.05, 1.3, 1.8):
-            assert riesz_kernel(spec, x, rho * x) > 0
-            assert riesz_kernel(spec, rho * x, x) < 0
+            assert kernel_value(spec, x, rho * x) > 0
+            assert kernel_value(spec, rho * x, x) < 0
     # fitted constant of R(x,y) (xy)^lam (y-x) stable across scales
     lam = SP1.lam
     consts = []
     for scale in (1.0, 100.0):
         x = scale
-        vals = [riesz_kernel(spec, x, s * x) * (x * s * x) ** lam * (s * x - x)
+        vals = [kernel_value(spec, x, s * x) * (x * s * x) ** lam * (s * x - x)
                 for s in np.linspace(1.01, 1.8, 12)]
         consts.append(min(vals))
     assert consts[0] > 0
@@ -182,7 +177,7 @@ def test_riesz_far_below_magnitude():
     # R(x, y) <= -c / x^Q for y << x
     spec = KernelSpec("riesz", SP1)
     for x in (1.0, 50.0):
-        v = riesz_kernel(spec, x, x / 100.0)
+        v = kernel_value(spec, x, x / 100.0)
         assert v < 0
         assert abs(v) * x ** SP1.upper_dim > 0.1
 
@@ -190,21 +185,21 @@ def test_riesz_far_below_magnitude():
 def test_riesz_homogeneity():
     spec = KernelSpec("riesz", SP1)
     d = 5.0
-    lhs = riesz_kernel(spec, d * 1.0, d * 2.0)
-    rhs = d ** (-SP1.upper_dim) * riesz_kernel(spec, 1.0, 2.0)
+    lhs = kernel_value(spec, d * 1.0, d * 2.0)
+    rhs = d ** (-SP1.upper_dim) * kernel_value(spec, 1.0, 2.0)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_riesz_rejects_diagonal():
     spec = KernelSpec("riesz", SP1)
     with pytest.raises(ValueError):
-        riesz_kernel(spec, 1.0, 1.0 + 1e-9)
+        kernel_value(spec, 1.0, 1.0 + 1e-9)
 
 
 def test_riesz_not_symmetric():
     # the conjugate-function kernel changes sign across the diagonal
     spec = KernelSpec("riesz", SP1)
-    assert riesz_kernel(spec, 1.0, 2.0) * riesz_kernel(spec, 2.0, 1.0) < 0
+    assert kernel_value(spec, 1.0, 2.0) * kernel_value(spec, 2.0, 1.0) < 0
 
 
 # ---------------------------------------------------------------- fractional
@@ -215,7 +210,7 @@ def frac_direct_oracle(lam, alpha, x, y):
     space = MeasureSpace(lam)
 
     def f(u):
-        return heat_kernel(KernelSpec("heat", space, t=math.exp(u)), x, y) * math.exp(u * alpha / 2)
+        return kernel_value(KernelSpec("heat", space, t=math.exp(u)), x, y) * math.exp(u * alpha / 2)
 
     val = quad(f, -40.0, 60.0, epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
     return val / math.gamma(alpha)
@@ -227,12 +222,12 @@ def frac_direct_oracle(lam, alpha, x, y):
 )
 def test_frac_kernel_dual_route(lam, alpha, x, y):
     spec = KernelSpec("fractional", MeasureSpace(lam), alpha=alpha)
-    assert frac_kernel(spec, x, y) == pytest.approx(frac_direct_oracle(lam, alpha, x, y), rel=1e-9)
+    assert kernel_value(spec, x, y) == pytest.approx(frac_direct_oracle(lam, alpha, x, y), rel=1e-9)
 
 
 def test_frac_kernel_symmetry_and_positivity():
     spec = KernelSpec("fractional", SP1, alpha=0.5)
-    a, b = frac_kernel(spec, 1.3, 2.9), frac_kernel(spec, 2.9, 1.3)
+    a, b = kernel_value(spec, 1.3, 2.9), kernel_value(spec, 2.9, 1.3)
     assert a > 0
     assert a == pytest.approx(b, rel=1e-10)
 
@@ -240,8 +235,8 @@ def test_frac_kernel_symmetry_and_positivity():
 def test_frac_homogeneity():
     spec = KernelSpec("fractional", SP1, alpha=0.5)
     d = 2.0
-    lhs = frac_kernel(spec, d * 1.0, d * 2.0)
-    rhs = d ** (spec.alpha - SP1.upper_dim) * frac_kernel(spec, 1.0, 2.0)
+    lhs = kernel_value(spec, d * 1.0, d * 2.0)
+    rhs = d ** (spec.alpha - SP1.upper_dim) * kernel_value(spec, 1.0, 2.0)
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -255,7 +250,7 @@ def test_frac_size_comparability_band():
             y = rho * x
             d = abs(x - y)
             ratios.append(
-                frac_kernel(spec, x, y) * measure_interval(space, Interval(x, d)) / d ** spec.alpha
+                kernel_value(spec, x, y) * space.ball_measure(x, d) / d ** spec.alpha
             )
     assert min(ratios) > 0.1
     assert max(ratios) < 10.0
@@ -270,7 +265,7 @@ def test_frac_mid_range_alpha_comparability():
         for rho in (0.1, 0.5, 0.99, 1.7, 6.0):
             y = rho * x
             ref = (x + y) ** (spec.alpha - 1.0) * (x + y) ** (-2.0 * space.lam)
-            ratios.append(frac_kernel(spec, x, y) / ref)
+            ratios.append(kernel_value(spec, x, y) / ref)
     assert min(ratios) > 0.05
     assert max(ratios) / min(ratios) < 100.0
 
@@ -278,7 +273,7 @@ def test_frac_mid_range_alpha_comparability():
 def frac_x_derivative(spec, x, y):
     """Central difference of K_a in its first argument, step 1e-4 min(x, |x - y|)."""
     h = 1e-4 * min(x, abs(x - y))
-    return (frac_kernel(spec, x + h, y) - frac_kernel(spec, x - h, y)) / (2.0 * h)
+    return (kernel_value(spec, x + h, y) - kernel_value(spec, x - h, y)) / (2.0 * h)
 
 
 def test_frac_derivative_bound_and_cancellation():
@@ -295,7 +290,8 @@ def test_frac_derivative_bound_and_cancellation():
     x, y = 1.0, 2.5
     errs = []
     for h in (0.02, 0.01, 0.005):
-        second = frac_kernel(spec, x + h, y) + frac_kernel(spec, x - h, y) - 2 * frac_kernel(spec, x, y)
+        second = (kernel_value(spec, x + h, y) + kernel_value(spec, x - h, y)
+                  - 2 * kernel_value(spec, x, y))
         errs.append(abs(second))
     assert errs[1] < 0.3 * errs[0]
     assert errs[2] < 0.3 * errs[1]
@@ -311,8 +307,8 @@ def test_frac_smoothness_quotient():
             d = abs(x - y)
             for f in (0.05, 0.2, 0.45):
                 xp = x + f * d
-                num = abs(frac_kernel(spec, x, y) - frac_kernel(spec, xp, y))
-                den = (abs(x - xp) / d) * d ** spec.alpha / measure_interval(space, Interval(x, d))
+                num = abs(kernel_value(spec, x, y) - kernel_value(spec, xp, y))
+                den = (abs(x - xp) / d) * d ** spec.alpha / space.ball_measure(x, d)
                 quants.append(num / den)
     assert max(quants) < 30.0
 
@@ -456,7 +452,7 @@ def test_heat_error_bar_covers_mpmath(lam):
     for t in (1e-6, 1e-2, 1.0, 100.0):
         spec = KernelSpec("heat", space, t=t)
         for x, y in HEAT_POINTS:
-            val, err = heat_kernel(spec, x, y, with_error=True)
+            val, err = kernel_value(spec, x, y, with_error=True)
             assert abs(val - float(mp_heat_closed(lam, x, y, t))) <= err, f"t={t} x={x} y={y}"
 
 
@@ -505,8 +501,31 @@ def test_error_flag_leaves_values_alone_and_halves_hyp2f1_calls(monkeypatch):
         assert kernel_value(spec, x0, y0, with_error=True) == pytest.approx((value, error), rel=1e-12)
 
 
-def test_kernel_value_dispatch():
-    spec = KernelSpec("heat", SP1, t=0.5)
-    assert kernel_value(spec, 1.0, 2.0) == heat_kernel(spec, 1.0, 2.0)
+KINDS = [("heat", dict(t=0.5)), ("poisson", dict(t=0.5)), ("conj_poisson", dict(t=0.5)),
+         ("riesz", {}), ("fractional", dict(alpha=0.6))]
+
+
+@pytest.mark.parametrize("kind,params", KINDS, ids=[k for k, _ in KINDS])
+def test_kernel_value_contract(kind, params):
+    spec = KernelSpec(kind, SP1, **params)
+    assert type(kernel_value(spec, 1.0, 2.0)) is float
+    x = np.array([[0.5], [1.5]])
+    y = np.array([0.7, 2.0, 3.5])
+    plain = kernel_value(spec, x, y)
+    assert isinstance(plain, np.ndarray) and plain.shape == (2, 3)
+    val, err = kernel_value(spec, x, y, with_error=True)
+    assert val.shape == err.shape == (2, 3)
+    assert np.array_equal(val, plain)
+    assert np.all(err >= 0)
     v, e = kernel_value(spec, 1.0, 2.0, with_error=True)
-    assert e >= 0
+    assert type(v) is float and type(e) is float
+
+
+@pytest.mark.parametrize("kind,params", KINDS, ids=[k for k, _ in KINDS])
+def test_kernel_value_rejects_non_finite_and_non_positive_arguments(kind, params):
+    # nan used to come back as nan, and inf as 0 or a RuntimeWarning
+    spec = KernelSpec(kind, SP1, **params)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        for x, y in [(1.0, bad), (bad, 1.0), (1.0, np.array([2.0, bad]))]:
+            with pytest.raises(ValueError):
+                kernel_value(spec, x, y)

@@ -7,26 +7,25 @@ from scipy.integrate import quad
 
 from besselkit.measure import (
     GridFunction,
-    Interval,
     MeasureSpace,
     comparable_volume,
     doubling_ratio,
     make_log_grid,
-    measure_interval,
 )
 
 
-def test_measure_interval_closed_forms():
+def test_ball_measure_closed_forms():
     # lam = 1/2: integral of t dt over (0, 2) = 2
-    assert measure_interval(MeasureSpace(0.5), Interval(1.0, 1.0)) == pytest.approx(2.0, abs=1e-14)
+    assert MeasureSpace(0.5).ball_measure(1.0, 1.0) == pytest.approx(2.0, abs=1e-14)
     # lam = 1: (4^3 - 2^3)/3
-    assert measure_interval(MeasureSpace(1.0), Interval(3.0, 1.0)) == pytest.approx(56.0 / 3.0, rel=1e-14)
+    assert MeasureSpace(1.0).ball_measure(3.0, 1.0) == pytest.approx(56.0 / 3.0, rel=1e-14)
 
 
-def test_measure_interval_against_quadrature():
+def test_ball_measure_against_quadrature():
+    # at epsabs=0, epsrel=1e-13 QUADPACK converges without a roundoff warning
     space = MeasureSpace(0.7)
-    got = measure_interval(space, Interval(2.0, 0.5))
-    expected, err = quad(lambda t: t ** 1.4, 1.5, 2.5, epsabs=1e-14, epsrel=1e-14)
+    got = space.ball_measure(2.0, 0.5)
+    expected, err = quad(lambda t: t ** 1.4, 1.5, 2.5, epsabs=0.0, epsrel=1e-13)
     assert err < 1e-12
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -46,38 +45,35 @@ def test_ball_measure_small_radius_against_mpmath(ratio):
 
 
 def test_interval_clamps_at_zero():
-    iv = Interval(1.0, 3.0)
-    assert iv.left == 0.0
-    assert iv.right == 4.0
+    # I(1, 3) = (-2, 4) clipped to (0, 4)
     space = MeasureSpace(1.0)
-    assert measure_interval(space, iv) == pytest.approx(4.0 ** 3 / 3.0, rel=1e-14)
+    assert space.ball_measure(1.0, 3.0) == pytest.approx(4.0 ** 3 / 3.0, rel=1e-14)
 
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
         MeasureSpace(0.0)
-    with pytest.raises(ValueError):
-        Interval(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(1.0, 0.0)
     # inf passes a bare "> 0" check and then turns measures into nan
     with pytest.raises(ValueError):
         MeasureSpace(np.inf)
-    with pytest.raises(ValueError):
-        Interval(np.inf, 1.0)
-    with pytest.raises(ValueError):
-        Interval(1.0, np.inf)
+    space = MeasureSpace(1.0)
+    bad = [(-1.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)]
+    for x, r in bad:
+        with pytest.raises(ValueError):
+            doubling_ratio(space, x, r)
+        with pytest.raises(ValueError):
+            comparable_volume(space, x, r)
 
 
 def test_doubling_ratio_closed_form():
     # lam = 1, I = (0, 2): m(2I)/m(I) = 27/8 after clamping
-    assert doubling_ratio(MeasureSpace(1.0), Interval(1.0, 1.0)) == pytest.approx(27.0 / 8.0, rel=1e-13)
+    assert doubling_ratio(MeasureSpace(1.0), 1.0, 1.0) == pytest.approx(27.0 / 8.0, rel=1e-13)
 
 
 def test_doubling_ratio_density_limit():
     # shrinking interval at an interior point: locally constant density, ratio -> 2
     space = MeasureSpace(1.0)
-    r = doubling_ratio(space, Interval(1.0, 1e-7))
+    r = doubling_ratio(space, 1.0, 1e-7)
     assert r == pytest.approx(2.0, abs=1e-6)
 
 
@@ -87,7 +83,7 @@ def test_doubling_ratio_upper_bound_lambda_half():
     for _ in range(200):
         x = 10.0 ** rng.uniform(-2, 2)
         r = 10.0 ** rng.uniform(-3, 2)
-        assert doubling_ratio(space, Interval(x, r)) <= 4.0 + 1e-12
+        assert doubling_ratio(space, x, r) <= 4.0 + 1e-12
 
 
 @given(
@@ -98,7 +94,7 @@ def test_doubling_ratio_upper_bound_lambda_half():
 @settings(max_examples=200, deadline=None)
 def test_doubling_ratio_bounded_by_upper_dimension(lam, x, r):
     space = MeasureSpace(lam)
-    ratio = doubling_ratio(space, Interval(x, r))
+    ratio = doubling_ratio(space, x, r)
     assert 1.0 < ratio <= 2.0 ** space.upper_dim * (1 + 1e-10)
 
 
@@ -111,8 +107,8 @@ def test_doubling_ratio_bounded_by_upper_dimension(lam, x, r):
 @settings(max_examples=200, deadline=None)
 def test_dilation_covariance(lam, x, r, delta):
     space = MeasureSpace(lam)
-    m1 = measure_interval(space, Interval(delta * x, delta * r))
-    m0 = measure_interval(space, Interval(x, r))
+    m1 = space.ball_measure(delta * x, delta * r)
+    m0 = space.ball_measure(x, r)
     assert m1 == pytest.approx(delta ** space.upper_dim * m0, rel=1e-10)
 
 
@@ -120,7 +116,7 @@ def test_additivity_and_monotonicity():
     space = MeasureSpace(1.3)
     a = space.segment_measure(1.0, 2.0) + space.segment_measure(2.0, 5.0)
     assert a == pytest.approx(space.segment_measure(1.0, 5.0), rel=1e-14)
-    assert measure_interval(space, Interval(3.0, 1.0)) < measure_interval(space, Interval(3.0, 2.0))
+    assert space.ball_measure(3.0, 1.0) < space.ball_measure(3.0, 2.0)
 
 
 def test_comparable_volume_coincidence():
@@ -128,7 +124,7 @@ def test_comparable_volume_coincidence():
     space = MeasureSpace(0.5)
     assert comparable_volume(space, 1.0, 1.0) == pytest.approx(2.0)
     assert comparable_volume(space, 1.0, 1.0) == pytest.approx(
-        measure_interval(space, Interval(1.0, 1.0))
+        space.ball_measure(1.0, 1.0)
     )
 
 
@@ -138,13 +134,13 @@ def test_comparable_volume_band_and_asymptote():
     for x in np.geomspace(0.1, 10, 25):
         for r in np.geomspace(0.1, 10, 25):
             ratios.append(
-                measure_interval(space, Interval(x, r)) / comparable_volume(space, x, r)
+                space.ball_measure(x, r) / comparable_volume(space, x, r)
             )
     ratios = np.array(ratios)
     assert ratios.min() > 0.2
     assert ratios.max() < 2.5
     # interior asymptote: m(I)/(x^(2 lam) r + r^Q) -> 2 for x >> r
-    far = measure_interval(space, Interval(100.0, 1e-3)) / comparable_volume(space, 100.0, 1e-3)
+    far = space.ball_measure(100.0, 1e-3) / comparable_volume(space, 100.0, 1e-3)
     assert far == pytest.approx(2.0, rel=1e-4)
 
 
@@ -223,7 +219,7 @@ def test_integrate_dm_window_and_mean():
     nodes = np.linspace(1.0, 3.0, 201)
     f = GridFunction(nodes, nodes.copy())  # f(x) = x exactly on the grid
     # closed form: f_I = (int x * x dx) / (int x dx) over (1, 3) = 26/12
-    mean = f.integrate_dm(space, 1.0, 3.0) / measure_interval(space, Interval(2.0, 1.0))
+    mean = f.integrate_dm(space, 1.0, 3.0) / space.ball_measure(2.0, 1.0)
     assert mean == pytest.approx(26.0 / 12.0, rel=1e-12)
 
 

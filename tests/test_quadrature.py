@@ -237,7 +237,7 @@ def test_pv_odd_function_property():
 
 
 def test_pv_non_pv_singularity_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), np.errstate(divide="ignore"):
         integrate_pv(lambda t: 1.0 / (t - 1.0) ** 2, 1.0, 0.0, 3.0, CFG)
 
 
