@@ -1,11 +1,15 @@
 """Operators: kernels applied to functions, commutators, maximal functions.
 
 Semigroup and fractional applications are absolutely convergent integrals
-over the (compact) support of the input; fractional ones are taken on each
-side of x in a power of |y - x| that cancels the diagonal growth.  The Riesz
-transform at points of the support is a principal value: the kernel's even
-log singularity is subtracted in closed form and the rest goes to the
-folded integrator.  Every integral starts from the input's nodes (and the
+over the (compact) support of the input.  Semigroups are product-integrated:
+the smooth factor K_t(x, y) y^(2 lam) is interpolated on panels sized by the
+kernel's scale and by the octaves of y, and integrated exactly against the
+input's affine pieces, so their cost does not grow with the input's grid.
+Fractional applications are taken on each side of x in a power of |y - x|
+that cancels the diagonal growth.  The Riesz transform at points of the
+support is a principal value: the kernel's even log singularity is
+subtracted in closed form and the rest goes to the folded integrator.  These
+integrals, and the commutators', start from the input's nodes (and the
 symbol's) as breakpoints, so the integrator begins on the interpolant's own
 affine pieces instead of searching for its kinks.  Commutators always
 integrate the fused form
@@ -31,7 +35,8 @@ import numpy as np
 
 from .kernels import RIESZ_DIAGONAL_GUARD, KernelSpec, kernel_value
 from .measure import GridCumulative, GridFunction, MeasureSpace
-from .quadrature import IntegralResult, QuadConfig, integrate_adaptive, integrate_pv
+from .quadrature import (IntegralResult, QuadConfig, integrate_adaptive, integrate_product,
+                         integrate_pv)
 
 __all__ = [
     "OperatorSpec",
@@ -100,13 +105,32 @@ def _value(res: IntegralResult, what: str) -> float:
 
 
 def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """(K_t f)(x) = ∫ K_t(x, y) f(y) dm(y) for the heat/Poisson families."""
+    """(K_t f)(x) = ∫ K_t(x, y) f(y) dm(y) for the heat/Poisson families.
+
+    Product integration (``integrate_product``): K_t(x, y) y^(2 lam) is
+    interpolated on Chebyshev panels and integrated exactly against f's
+    affine pieces, so the kernel work follows the kernel and does not grow
+    with f's grid.  The first panels are one octave of each factor wide:
+    y^(2 lam) is analytic in a disc of radius y about y, so the support is
+    cut at lo 2^k; K_t varies on the scale l = sqrt(t) (heat) or t
+    (Poisson) about x, so it is cut at x and at x ± l 2^k too.  Without the
+    second ladder a peak much narrower than an octave falls between the
+    first panels' points and is never seen.
+    """
     k = spec.kernel
     if k.kind not in ("heat", "poisson", "conj_poisson"):
         raise ValueError("apply_semigroup expects a heat or Poisson-type kernel")
     lo, hi = f.support
-    res = integrate_adaptive(_density(k, f, x), lo, hi, k.quad, f.nodes)
-    return _value(res, "semigroup application")
+    w = 2.0 * k.space.lam
+
+    def weight(y):
+        return kernel_value(k, x, y) * y ** w
+
+    scale = math.sqrt(k.t) if k.kind == "heat" else k.t
+    octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
+    steps = scale * 2.0 ** np.arange(max(0, math.ceil(math.log2(hi / scale))))
+    breaks = np.concatenate([octaves, [x], x - steps, x + steps])
+    return _value(integrate_product(weight, f, lo, hi, k.quad, breaks), "semigroup application")
 
 
 def _outside_band(g, x: float):

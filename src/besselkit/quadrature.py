@@ -1,13 +1,22 @@
-"""Adaptive 1-d integration: finite intervals and principal values.
+"""Adaptive 1-d integration: finite intervals, products with grid functions,
+and principal values.
 
-Panel rule: paired Gauss-Legendre evaluations (10 and 21 nodes) whose
-difference drives bisection.  Refinement is level-synchronous: the panels
-start at the caller's known breakpoints, every round evaluates all active
-panels in batched integrand calls, freezes those whose errors are already
-small enough and bisects the rest.  Nodes are interior, so integrable
-endpoint singularities never get evaluated at the endpoint; bisection
-grades the mesh geometrically into them.  Integrands must accept numpy
-arrays.
+Two panel rules share one refinement loop (``_rounds``):
+
+- ``integrate_adaptive``: paired Gauss-Legendre evaluations (10 and 21
+  nodes) of the whole integrand, whose difference is the panel's error.
+- ``integrate_product``: ∫ g f for a smooth g and a piecewise affine grid
+  function f.  g is interpolated at 16 Chebyshev points per panel and the
+  interpolant is integrated exactly against f's affine pieces; the error is
+  the interpolant's coefficient tail times ∫ |f|.  Only g is sampled, so
+  the panels follow g's scale, not f's grid.
+
+Refinement is level-synchronous: the panels start at the caller's known
+breakpoints, every round evaluates all active panels in batched integrand
+calls, freezes those whose errors are already small enough and bisects the
+rest.  Nodes are interior, so integrable endpoint singularities never get
+evaluated at the endpoint; bisection grades the mesh geometrically into
+them.  Integrands must accept numpy arrays.
 
 Principal values are folded: the integrand's two sides of the singular
 point are summed at equal distances, which cancels an odd 1/(x - s) part
@@ -18,16 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.special import roots_legendre
 
 __all__ = [
     "QuadConfig",
     "IntegralResult",
     "integrate_adaptive",
+    "integrate_product",
     "integrate_pv",
 ]
 
@@ -60,6 +71,26 @@ _CHUNK = 4096
 # Panels evaluated per integral at most; an integrand that keeps every panel
 # busy stops here with its error estimate as it stands.
 _PANEL_BUDGET = 400_000
+# Chebyshev points per product-integration panel; every one is interior.
+_CHEB_N = 16
+_EPS = float(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=1)
+def _cheb():
+    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and the maps from
+    values there to the interpolant's Chebyshev coefficients and to those of
+    the antiderivatives P(s) = ∫_-1^s p and Q(s) = ∫_-1^s u p(u) du."""
+    n = _CHEB_N
+    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    to_coef = chebyshev.chebvander(nodes, n - 1).T * (2.0 / n)
+    to_coef[0] *= 0.5
+    # s T_0 = T_1 and s T_k = (T_(k+1) + T_(k-1))/2
+    times_s = 0.5 * (np.eye(n + 1, n, -1) + np.eye(n + 1, n, 1))
+    times_s[1, 0] = 1.0
+    to_p = chebyshev.chebint(to_coef, lbnd=-1.0)
+    to_q = chebyshev.chebint(times_s @ to_coef, lbnd=-1.0)
+    return nodes, to_coef, to_p, to_q
 
 
 @lru_cache(maxsize=1)
@@ -91,17 +122,15 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     return val, err
 
 
-def integrate_adaptive(
-    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
-) -> IntegralResult:
-    """Globally adaptive integral of f over (a, b).
+def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> IntegralResult:
+    """The refinement loop both panel rules share.
 
-    The panels start at (a, b) cut at the ``breaks`` that lie inside it:
-    kinks and other known breakpoints of f, which bisection would otherwise
-    have to find.  Each round evaluates all active panels at once.  The
-    panels with the smallest errors are frozen while their errors, with
-    those frozen before, fit half of max(abs_tol, rel_tol * |value|); the
-    others are bisected and make the next round.  It stops once the summed
+    ``rule(lo, hi)`` returns the (value, error) arrays of the panels
+    (lo, hi).  The panels start at (a, b) cut at the ``breaks`` that lie
+    inside it.  Each round evaluates all active panels at once.  The panels
+    with the smallest errors are frozen while their errors, with those
+    frozen before, fit half of max(abs_tol, rel_tol * |value|); the others
+    are bisected and make the next round.  It stops once the summed
     estimate meets the tolerance.  Panels that reach ``max_depth`` stop
     subdividing, and after _PANEL_BUDGET panels all do; if the tolerance is
     still unmet, or the total is not finite, the result is returned with
@@ -119,7 +148,7 @@ def integrate_adaptive(
     exhausted = False
     used = 0
     while True:
-        v, e = _panels(f, lo, hi)
+        v, e = rule(lo, hi)
         used += lo.size
         total_v = frozen_v + float(np.sum(v))
         total_e = frozen_e + float(np.sum(e))
@@ -147,6 +176,82 @@ def integrate_adaptive(
     # an inf total makes tol inf too: only a finite total can meet it
     converged = math.isfinite(total_v) and (total_e <= tol or (not exhausted and total_e <= 4 * tol))
     return IntegralResult(total_v, total_e, converged)
+
+
+def integrate_adaptive(
+    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
+) -> IntegralResult:
+    """Globally adaptive integral of f over (a, b) with the GL 21/10 rule.
+
+    The panels start at (a, b) cut at the ``breaks`` that lie inside it:
+    kinks and other known breakpoints of f, which bisection would otherwise
+    have to find.  Refinement and convergence are those of ``_rounds``.
+    """
+    return _rounds(partial(_panels, f), a, b, cfg, breaks)
+
+
+def _product_panels(g: Callable, f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error) of ∫ g f over every panel (lo, hi) by product integration.
+
+    g is interpolated at the _CHEB_N Chebyshev points of each panel, and the
+    interpolant p(s), s the panel's local coordinate, is integrated exactly
+    against f's affine pieces: a + b y on (y0, y1) contributes
+    half [(a + b mid) ΔP + b half ΔQ], with P and Q the antiderivatives of
+    p and of s p.  The error is the coefficient tail |c_(n-2)| + |c_(n-1)|
+    (two, so a panel even or odd about its midpoint cannot hide it) times
+    ∫ |f| dy, plus eps times the summed sizes of the terms for rounding.
+    """
+    nodes, to_coef, to_p, to_q = _cheb()
+    n = nodes.size
+    # points and local coordinates are measured from each panel's lower edge,
+    # so that its edges map to -1 and 1 exactly and neighbours leave no sliver
+    half = 0.5 * (hi - lo)
+    step = _CHUNK // n
+    val = np.empty(lo.size)
+    err = np.empty(lo.size)
+    for i in range(0, lo.size, step):
+        j = min(i + step, lo.size)
+        start, h = lo[i:j], half[i:j]
+        samples = np.asarray(g((start[:, None] + h[:, None] * (1.0 + nodes)).ravel()), dtype=float)
+        samples = samples.reshape(j - i, n)
+        k, y0, y1, a, b = f.segments(lo[i:j], hi[i:j])
+        lk, hk = start[k], h[k]
+        # T_0 .. T_(n+1) at both ends of every piece, by the three-term recurrence
+        s = (np.concatenate([y1, y0]) - np.tile(lk, 2)) / np.tile(hk, 2) - 1.0
+        cheb_t = np.empty((n + 2, s.size))
+        cheb_t[0], cheb_t[1] = 1.0, s
+        for l in range(2, n + 2):
+            cheb_t[l] = 2.0 * s * cheb_t[l - 1] - cheb_t[l - 2]
+        ends = np.tile(k, 2)
+        p_end = np.einsum("ji,ij->i", cheb_t[:-1], (samples @ to_p.T)[ends]).reshape(2, -1)
+        q_end = np.einsum("ji,ij->i", cheb_t, (samples @ to_q.T)[ends]).reshape(2, -1)
+        mk = lk + hk
+        piece = hk * ((a + b * mk) * (p_end[0] - p_end[1]) + b * hk * (q_end[0] - q_end[1]))
+        # the terms before they cancel: a steep piece far from the panel's
+        # middle, or one much shorter than the panel, loses their digits
+        terms = hk * ((np.abs(a) + np.abs(b * mk)) * np.abs(p_end).sum(axis=0)
+                      + np.abs(b) * hk * np.abs(q_end).sum(axis=0))
+        # ∫|a + b y| by the trapezoid rule: exact without a sign change, above it with one
+        abs_f = 0.5 * (y1 - y0) * (np.abs(a + b * y0) + np.abs(a + b * y1))
+        tail = np.abs(samples @ to_coef[-2:].T).sum(axis=1)
+        val[i:j] = np.bincount(k, piece, minlength=j - i)
+        err[i:j] = (tail * np.bincount(k, abs_f, minlength=j - i)
+                    + _EPS * np.bincount(k, terms, minlength=j - i))
+    return val, err
+
+
+def integrate_product(
+    g: Callable, f, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
+) -> IntegralResult:
+    """∫_a^b g(y) f(y) dy for smooth g and piecewise affine f, by product integration.
+
+    ``f`` is a ``GridFunction``: only g is sampled, 16 points a panel, and
+    f enters through its exact affine pieces, so the panels follow g's
+    scale and not f's grid.  The panels start at (a, b) cut at the
+    ``breaks`` inside it, where g is not smooth or changes scale; refinement
+    and convergence are those of ``_rounds``.
+    """
+    return _rounds(partial(_product_panels, g, f), a, b, cfg, breaks)
 
 
 def integrate_pv(

@@ -6,10 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 from besselkit import quadrature
+from besselkit.measure import GridFunction
 from besselkit.quadrature import (
     IntegralResult,
     QuadConfig,
     integrate_adaptive,
+    integrate_product,
     integrate_pv,
 )
 from halfline import integrate_halfline
@@ -183,6 +185,46 @@ def test_rounds_agree_with_the_heap_reference(name, f, a, b):
     ref, ref_err = heap_reference(f, a, b, CFG)
     assert res.converged
     assert abs(res.value - ref) <= res.error + ref_err
+
+
+@pytest.mark.parametrize("interp", ["linear", "pconst"])
+@pytest.mark.parametrize("degree", [3, 15])
+def test_product_rule_is_exact_for_a_polynomial_weight(interp, degree):
+    # g of degree <= 15 is its own interpolant on every panel, so the value
+    # is the closed-form sum over f's pieces of ∫ y^d (a + b y) dy up to
+    # rounding, which the bar must cover.  The random f has pieces up to 1e3
+    # steep; at degree 3 the tail is rounding noise, and eps * sum |pieces|
+    # fell short of the cancellation inside the steep pieces
+    rng = np.random.default_rng(25)
+    nodes = np.sort(rng.uniform(0.5, 2.0, 40))
+    f = GridFunction(nodes, rng.uniform(-1.0, 1.0, nodes.size), interp)
+    res = integrate_product(lambda y: y ** degree, f, 0.4, 2.1, CFG, breaks=[1.0])
+    _, u, v, a, b = f.segments()
+    d = degree
+    exact = np.sum(a * (v ** (d + 1) - u ** (d + 1)) / (d + 1) + b * (v ** (d + 2) - u ** (d + 2)) / (d + 2))
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-13 * np.sum(np.abs(a) * v ** (d + 1) + np.abs(b) * v ** (d + 2))
+    assert abs(res.value - exact) <= res.error
+
+
+def test_product_tail_is_not_fooled_by_a_peak_on_the_panel_midpoint():
+    # a heat-kernel peak exp(-(y - c)^2 / 4t) on the midpoint of the only
+    # first panel is even about it: every odd Chebyshev coefficient
+    # vanishes, the last one with them, so a tail read off the last
+    # coefficient alone would accept the poor first interpolant
+    t, c = 0.01, 2.0
+    g = lambda y: np.exp(-(y - c) ** 2 / (4.0 * t))
+    f = GridFunction(np.array([1.0, 3.0]), np.array([1.0, 1.0]))
+    exact = math.sqrt(4.0 * math.pi * t) * math.erf(1.0 / math.sqrt(4.0 * t))
+    nodes, to_coef, _, _ = quadrature._cheb()
+    coef = to_coef @ g(c + nodes)
+    first, _ = quadrature._product_panels(g, f, np.array([1.0]), np.array([3.0]))
+    assert abs(coef[-1]) < 1e-15 and abs(coef[-2]) > 1e-2
+    # the first round misses by far more than |c_15| times ∫|f| dy = 2
+    assert abs(first[0] - exact) > 1e6 * abs(coef[-1]) * 2.0
+    res = integrate_product(g, f, 1.0, 3.0, CFG)
+    assert res.converged
+    assert abs(res.value - exact) <= res.error
 
 
 def test_halfline_exponential():
