@@ -1,15 +1,15 @@
 """Adaptive 1-d integration: finite intervals, products with grid functions,
 and principal values.
 
-Two panel rules share one refinement loop (``_rounds``):
+One panel rule serves both integrators: the integrand's smooth factor is
+interpolated at 16 Chebyshev points per panel, the interpolant is integrated
+exactly against affine weight pieces, and the error is the interpolant's
+coefficient tail times the weight's ∫ |w|.
 
-- ``integrate_adaptive``: paired Gauss-Legendre evaluations (10 and 21
-  nodes) of the whole integrand, whose difference is the panel's error.
+- ``integrate_adaptive``: ∫ f against the weight 1, one piece per panel.
 - ``integrate_product``: ∫ g f for a smooth g and a piecewise affine grid
-  function f.  g is interpolated at 16 Chebyshev points per panel and the
-  interpolant is integrated exactly against f's affine pieces; the error is
-  the interpolant's coefficient tail times ∫ |f|.  Only g is sampled, so
-  the panels follow g's scale, not f's grid.
+  function f, whose pieces are the weight.  Only g is sampled, so the panels
+  follow g's scale, not f's grid.
 
 Refinement is level-synchronous: the panels start at the caller's known
 breakpoints, every round evaluates all active panels in batched integrand
@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import roots_legendre
 
 __all__ = [
     "QuadConfig",
@@ -71,16 +70,17 @@ _CHUNK = 4096
 # Panels evaluated per integral at most; an integrand that keeps every panel
 # busy stops here with its error estimate as it stands.
 _PANEL_BUDGET = 400_000
-# Chebyshev points per product-integration panel; every one is interior.
+# Chebyshev points per panel; every one is interior.
 _CHEB_N = 16
 _EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=1)
 def _cheb():
-    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and the maps from
-    values there to the interpolant's Chebyshev coefficients and to those of
-    the antiderivatives P(s) = ∫_-1^s p and Q(s) = ∫_-1^s u p(u) du."""
+    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and the matrix
+    that maps values there, in one product, to the Chebyshev coefficients of
+    P(s) = ∫_-1^s p and Q(s) = ∫_-1^s u p(u) du, p their interpolant, and in
+    its last two columns to p's own last two coefficients."""
     n = _CHEB_N
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     to_coef = chebyshev.chebvander(nodes, n - 1).T * (2.0 / n)
@@ -90,40 +90,11 @@ def _cheb():
     times_s[1, 0] = 1.0
     to_p = chebyshev.chebint(to_coef, lbnd=-1.0)
     to_q = chebyshev.chebint(times_s @ to_coef, lbnd=-1.0)
-    return nodes, to_coef, to_p, to_q
-
-
-@lru_cache(maxsize=1)
-def _gl_pair():
-    """Nodes of the GL 10 and GL 21 rules side by side, and their weights."""
-    x10, w10 = roots_legendre(10)
-    x21, w21 = roots_legendre(21)
-    return np.concatenate([x10, x21]), w10, w21
-
-
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, error) of every panel (lo, hi) from the GL 21/10 pair.
-
-    Whole panels go to ``f`` in calls of at most _CHUNK points; the values
-    and errors of a call's panels are two matvecs on its point values.
-    """
-    nodes, w10, w21 = _gl_pair()
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    step = _CHUNK // nodes.size
-    val = np.empty(lo.size)
-    err = np.empty(lo.size)
-    for i in range(0, lo.size, step):
-        j = min(i + step, lo.size)
-        y = f((mid[i:j, None] + half[i:j, None] * nodes).ravel())
-        y = np.asarray(y, dtype=float).reshape(j - i, nodes.size)
-        v10 = half[i:j] * (y[:, :10] @ w10)
-        val[i:j] = half[i:j] * (y[:, 10:] @ w21)
-        err[i:j] = np.abs(val[i:j] - v10)
-    return val, err
+    return nodes, np.vstack([to_p, to_q, to_coef[-2:]]).T
 
 
 def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> IntegralResult:
-    """The refinement loop both panel rules share.
+    """The refinement loop of the panel rule.
 
     ``rule(lo, hi)`` returns the (value, error) arrays of the panels
     (lo, hi).  The panels start at (a, b) cut at the ``breaks`` that lie
@@ -131,10 +102,10 @@ def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> Inte
     with the smallest errors are frozen while their errors, with those
     frozen before, fit half of max(abs_tol, rel_tol * |value|); the others
     are bisected and make the next round.  It stops once the summed
-    estimate meets the tolerance.  Panels that reach ``max_depth`` stop
-    subdividing, and after _PANEL_BUDGET panels all do; if the tolerance is
-    still unmet, or the total is not finite, the result is returned with
-    ``converged=False``.
+    estimate meets the tolerance, or at the first round whose total is not
+    finite.  Panels that reach ``max_depth`` stop subdividing, and after
+    _PANEL_BUDGET panels all do; if the tolerance is still unmet, or the
+    total is not finite, the result is returned with ``converged=False``.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
@@ -153,7 +124,8 @@ def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> Inte
         total_v = frozen_v + float(np.sum(v))
         total_e = frozen_e + float(np.sum(e))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_v))
-        if total_e <= tol:
+        # a non-finite total: a sample hit a singularity, and bisecting finds more
+        if total_e <= tol or not math.isfinite(total_v + total_e):
             break
         # smallest errors first: freeze the prefix that fits tol/2
         order = np.argsort(e)
@@ -178,30 +150,21 @@ def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> Inte
     return IntegralResult(total_v, total_e, converged)
 
 
-def integrate_adaptive(
-    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
-) -> IntegralResult:
-    """Globally adaptive integral of f over (a, b) with the GL 21/10 rule.
-
-    The panels start at (a, b) cut at the ``breaks`` that lie inside it:
-    kinks and other known breakpoints of f, which bisection would otherwise
-    have to find.  Refinement and convergence are those of ``_rounds``.
-    """
-    return _rounds(partial(_panels, f), a, b, cfg, breaks)
-
-
-def _product_panels(g: Callable, f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _product_panels(g: Callable, pieces: Callable, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, error) of ∫ g f over every panel (lo, hi) by product integration.
 
-    g is interpolated at the _CHEB_N Chebyshev points of each panel, and the
-    interpolant p(s), s the panel's local coordinate, is integrated exactly
-    against f's affine pieces: a + b y on (y0, y1) contributes
-    half [(a + b mid) ΔP + b half ΔQ], with P and Q the antiderivatives of
-    p and of s p.  The error is the coefficient tail |c_(n-2)| + |c_(n-1)|
-    (two, so a panel even or odd about its midpoint cannot hide it) times
-    ∫ |f| dy, plus eps times the summed sizes of the terms for rounding.
+    ``pieces(lo, hi)`` gives f's affine pieces in the panels, as
+    ``GridFunction.segments`` does.  g is interpolated at the _CHEB_N
+    Chebyshev points of each panel, and the interpolant p(s), s the panel's
+    local coordinate, is integrated exactly against the pieces: a + b y on
+    (y0, y1) contributes half [(a + b mid) ΔP + b half ΔQ], with P and Q the
+    antiderivatives of p and of s p.  The error is the coefficient tail
+    |c_(n-2)| + |c_(n-1)| (two, so a panel even or odd about its midpoint
+    cannot hide it) times ∫ |f| dy, plus eps times the summed sizes of the
+    terms for rounding.
     """
-    nodes, to_coef, to_p, to_q = _cheb()
+    nodes, maps = _cheb()
     n = nodes.size
     # points and local coordinates are measured from each panel's lower edge,
     # so that its edges map to -1 and 1 exactly and neighbours leave no sliver
@@ -213,8 +176,11 @@ def _product_panels(g: Callable, f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
         j = min(i + step, lo.size)
         start, h = lo[i:j], half[i:j]
         samples = np.asarray(g((start[:, None] + h[:, None] * (1.0 + nodes)).ravel()), dtype=float)
-        samples = samples.reshape(j - i, n)
-        k, y0, y1, a, b = f.segments(lo[i:j], hi[i:j])
+        # an inf sample makes inf * 0 here; the non-finite total reports it
+        with np.errstate(invalid="ignore"):
+            coef = samples.reshape(j - i, n) @ maps
+        p_coef, q_coef = coef[:, :n + 1], coef[:, n + 1:-2]
+        k, y0, y1, a, b = pieces(lo[i:j], hi[i:j])
         lk, hk = start[k], h[k]
         # T_0 .. T_(n+1) at both ends of every piece, by the three-term recurrence
         s = (np.concatenate([y1, y0]) - np.tile(lk, 2)) / np.tile(hk, 2) - 1.0
@@ -223,8 +189,8 @@ def _product_panels(g: Callable, f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
         for l in range(2, n + 2):
             cheb_t[l] = 2.0 * s * cheb_t[l - 1] - cheb_t[l - 2]
         ends = np.tile(k, 2)
-        p_end = np.einsum("ji,ij->i", cheb_t[:-1], (samples @ to_p.T)[ends]).reshape(2, -1)
-        q_end = np.einsum("ji,ij->i", cheb_t, (samples @ to_q.T)[ends]).reshape(2, -1)
+        p_end = np.einsum("ji,ij->i", cheb_t[:-1], p_coef[ends]).reshape(2, -1)
+        q_end = np.einsum("ji,ij->i", cheb_t, q_coef[ends]).reshape(2, -1)
         mk = lk + hk
         piece = hk * ((a + b * mk) * (p_end[0] - p_end[1]) + b * hk * (q_end[0] - q_end[1]))
         # the terms before they cancel: a steep piece far from the panel's
@@ -233,11 +199,30 @@ def _product_panels(g: Callable, f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
                       + np.abs(b) * hk * np.abs(q_end).sum(axis=0))
         # ∫|a + b y| by the trapezoid rule: exact without a sign change, above it with one
         abs_f = 0.5 * (y1 - y0) * (np.abs(a + b * y0) + np.abs(a + b * y1))
-        tail = np.abs(samples @ to_coef[-2:].T).sum(axis=1)
+        tail = np.abs(coef[:, -2:]).sum(axis=1)
         val[i:j] = np.bincount(k, piece, minlength=j - i)
         err[i:j] = (tail * np.bincount(k, abs_f, minlength=j - i)
                     + _EPS * np.bincount(k, terms, minlength=j - i))
     return val, err
+
+
+def _unit_pieces(lo: np.ndarray, hi: np.ndarray):
+    """The weight 1 as ``_product_panels`` pieces: a = 1, b = 0 on each whole panel."""
+    return np.arange(lo.size), lo, hi, np.ones(lo.size), np.zeros(lo.size)
+
+
+def integrate_adaptive(
+    f: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
+) -> IntegralResult:
+    """Globally adaptive integral of f over (a, b): the product rule against 1.
+
+    f is interpolated at 16 Chebyshev points a panel, and the panel's error
+    is its coefficient tail times the panel's width.  The panels start at
+    (a, b) cut at the ``breaks`` that lie inside it: kinks and other known
+    breakpoints of f, which bisection would otherwise have to find.
+    Refinement and convergence are those of ``_rounds``.
+    """
+    return _rounds(partial(_product_panels, f, _unit_pieces), a, b, cfg, breaks)
 
 
 def integrate_product(
@@ -251,7 +236,7 @@ def integrate_product(
     ``breaks`` inside it, where g is not smooth or changes scale; refinement
     and convergence are those of ``_rounds``.
     """
-    return _rounds(partial(_product_panels, g, f), a, b, cfg, breaks)
+    return _rounds(partial(_product_panels, g, f.segments), a, b, cfg, breaks)
 
 
 def integrate_pv(
@@ -278,6 +263,11 @@ def integrate_pv(
     breaks = np.empty(0) if breaks is None else np.asarray(breaks, dtype=float).ravel()
 
     def folded(u):
+        # both sides at the distance that s + u rounds to: s - u is then exact
+        # and the pole cancels even across a power of 2.  Where that distance
+        # reaches the window's end, u itself keeps s - u inside the window
+        up = (s + u) - s
+        u = np.where(up < w, up, u)
         y = f(np.concatenate([s + u, s - u]))
         return y[:u.size] + y[u.size:]
 

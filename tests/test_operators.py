@@ -23,7 +23,8 @@ from besselkit.operators import (
     hl_maximal_t,
     oscillation_family,
 )
-from besselkit.quadrature import QuadConfig, integrate_adaptive
+from besselkit.quadrature import QuadConfig
+from gauss_legendre import integrate_gl
 
 SP = MeasureSpace(1.0)
 FAST = QuadConfig(abs_tol=1e-9, rel_tol=1e-8)
@@ -126,7 +127,7 @@ def test_semigroup_product_route_is_calibrated(monkeypatch, kind, x, t, interp):
     for cfg in (QuadConfig(), TIGHT):
         k = KernelSpec(kind, space, t=t, quad=cfg)
         res = product_result(monkeypatch, OperatorSpec(k), f, x)
-        gl = integrate_adaptive(operators._density(k, f, x), lo, hi, cfg, f.nodes)
+        gl = integrate_gl(operators._density(k, f, x), lo, hi, cfg, f.nodes)
         assert res.converged and gl.converged
         assert abs(res.value - gl.value) <= res.error + gl.error
         assert abs(res.value - ref) <= res.error
@@ -143,7 +144,7 @@ def test_semigroup_error_bar_covers_the_rounding_of_its_sum(monkeypatch):
     f = GridFunction(nodes, np.exp(-nodes * nodes / (4.0 * s)))
     k = KernelSpec("conj_poisson", MeasureSpace(lam), t=t, quad=TIGHT)
     res = product_result(monkeypatch, OperatorSpec(k), f, x)
-    gl = integrate_adaptive(operators._density(k, f, x), *f.support, TIGHT, f.nodes)
+    gl = integrate_gl(operators._density(k, f, x), *f.support, TIGHT, f.nodes)
     assert res.converged and gl.converged
     assert res.error >= np.finfo(float).eps * abs(res.value)
     assert abs(res.value - gl.value) <= res.error + gl.error
@@ -238,6 +239,22 @@ def test_riesz_pv_at_and_near_a_node_is_continuous(lam):
     for d in (1e-9, 1e-5):
         near = apply_riesz(spec, f, node * (1.0 + d))
         assert abs(near - at) <= d * node + 1e-9
+
+
+@pytest.mark.parametrize("x", [2.0 - 1e-6, 2.0 + 1e-9, 2.0 + 3e-6, 1.0 + 1e-7])
+def test_riesz_pv_meets_a_tight_tolerance_next_to_a_power_of_two(x):
+    # a sin^2 bump on 21 nodes, whose nodes include 1 and 2: x + u and x - u
+    # fall in binades of different ulp, and unless both sides take the same
+    # rounded u the folded PV runs into the panel budget and raises.
+    # Measured gaps to the value at the looser tolerance: 1e-13 to 3.6e-13
+    nodes = np.linspace(0.5, 3.0, 21)
+    f = GridFunction(nodes, np.sin(np.pi * (nodes - 0.5) / 2.5) ** 2)
+
+    def riesz(cfg):
+        return apply_riesz(OperatorSpec(KernelSpec("riesz", SP, quad=cfg), pv=cfg), f, x)
+
+    tight, loose = riesz(QuadConfig(1e-13, 1e-12)), riesz(QuadConfig(1e-12, 1e-11))
+    assert abs(tight - loose) <= 1e-12 + 1e-11 * abs(loose)
 
 
 def test_riesz_linearity():
@@ -367,6 +384,28 @@ def test_commutator_symbol_shift_invariance():
     a = commutator(OperatorSpec(k, symbol=b), f, 0.9)
     c = commutator(OperatorSpec(k, symbol=b_shift), f, 0.9)
     assert a == pytest.approx(c, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [1.0, 2.5])
+def test_commutator_on_a_gaussian_takes_one_round(monkeypatch, x):
+    # the benchmark's commutator: Riesz, symbol y^2, a 450-node Gaussian at
+    # its tolerance.  Each cell between the breaks (the nodes and x) is one
+    # panel of 16 points, and none is bisected
+    sizes = []
+    real = operators.kernel_value
+
+    def counted(spec, x, y, **kw):
+        sizes.append(np.size(y))
+        return real(spec, x, y, **kw)
+
+    monkeypatch.setattr(operators, "kernel_value", counted)
+    f = gaussian_grid()
+    b = GridFunction(f.nodes, f.nodes ** 2)
+    k = KernelSpec("riesz", SP, quad=QuadConfig(abs_tol=1e-8, rel_tol=1e-7))
+    commutator(OperatorSpec(k, symbol=b), f, x)
+    cells = np.unique(np.append(f.nodes, x)).size - 1
+    assert cells == 450
+    assert sum(sizes) == 16 * cells
 
 
 def test_commutator_requires_symbol():
