@@ -65,10 +65,6 @@ __all__ = ["KernelSpec", "kernel_value", "theta_moments"]
 
 _KINDS = ("heat", "poisson", "conj_poisson", "riesz", "fractional")
 
-# Relative diagonal width below which the Riesz kernel refuses to evaluate:
-# the genuine 1/(x - y) blow-up belongs to the principal-value machinery.
-RIESZ_DIAGONAL_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -218,12 +214,12 @@ def _poisson_family(lam: float, x, y, t: float, signed: bool, with_error: bool):
 def _riesz(spec: KernelSpec, x, y, with_error: bool):
     """Riesz transform kernel R(x, y): the t -> 0 conjugate-Poisson limit.
 
-    Signed: positive for y > x, negative for y < x.  Arguments closer to the
-    diagonal than RIESZ_DIAGONAL_GUARD * x are refused; that regime belongs
-    to the principal-value integrator, not pointwise evaluation.
+    Signed: positive for y > x, negative for y < x.  Next to the diagonal it
+    is 1/(pi (y - x) y^(2 lam)) plus a log term, with y - x formed exactly;
+    on the diagonal it is singular and refused.
     """
-    if np.any(np.abs(x - y) < RIESZ_DIAGONAL_GUARD * x):
-        raise ValueError("arguments too close to the diagonal; use the PV machinery")
+    if np.any(x == y):
+        raise ValueError("riesz kernel is singular on the diagonal")
     return _poisson_family(spec.space.lam, x, y, 0.0, True, with_error)
 
 

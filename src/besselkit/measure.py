@@ -96,6 +96,21 @@ def _root(u, v, a, b):
         return np.where(b == 0.0, u, np.minimum(np.maximum(-a / b, u), v))
 
 
+def _cells(nodes: np.ndarray, lo, hi):
+    """(k, i, u, v): cell (nodes[i], nodes[i+1]) clipped to (u, v) inside window
+    k; window ends broadcast, k indexes them flattened, and they are clipped
+    to [nodes[0], nodes[-1]]."""
+    lo, hi = np.broadcast_arrays(lo, hi)
+    lo, hi = np.maximum(lo.ravel(), nodes[0]), np.minimum(hi.ravel(), nodes[-1])
+    if np.isnan(lo + hi).any():  # after the clip both are finite unless nan
+        raise ValueError("window ends must not be nan")
+    i0 = np.searchsorted(nodes, lo, side="right") - 1
+    count = np.where(hi > lo, np.searchsorted(nodes, hi, side="left") - i0, 0)
+    k = np.repeat(np.arange(lo.size), count)
+    i = np.arange(k.size) + np.repeat(i0 - np.cumsum(count) + count, count)
+    return k, i, np.maximum(nodes[i], lo[k]), np.minimum(nodes[i + 1], hi[k])
+
+
 def make_log_grid(xmin: float, xmax: float, n: int) -> np.ndarray:
     """Geometrically spaced nodes covering [xmin, xmax], endpoints included."""
     if not (0 < xmin < xmax):
@@ -163,20 +178,13 @@ class GridFunction:
         (k = 0).  For pconst interpolation b = 0 on every piece.
         """
         nodes, values = self.nodes, self.values
-        lo, hi = np.broadcast_arrays(nodes[0] if lo is None else lo, nodes[-1] if hi is None else hi)
-        lo, hi = np.maximum(lo.ravel(), nodes[0]), np.minimum(hi.ravel(), nodes[-1])
-        if np.isnan(lo + hi).any():  # after the clip both are finite unless nan
-            raise ValueError("window ends must not be nan")
-        i0 = np.searchsorted(nodes, lo, side="right") - 1
-        count = np.where(hi > lo, np.searchsorted(nodes, hi, side="left") - i0, 0)
-        k = np.repeat(np.arange(lo.size), count)
-        i = np.arange(k.size) + np.repeat(i0 - np.cumsum(count) + count, count)
+        k, i, u, v = _cells(nodes, nodes[0] if lo is None else lo, nodes[-1] if hi is None else hi)
         if self.interp == "linear":
             b = (values[i + 1] - values[i]) / (nodes[i + 1] - nodes[i])
             a = values[i] - b * nodes[i]
         else:
             a, b = values[i], np.zeros(i.size)
-        return k, np.maximum(nodes[i], lo[k]), np.minimum(nodes[i + 1], hi[k]), a, b
+        return k, u, v, a, b
 
     def integrate_dm(self, space: MeasureSpace, lo=None, hi=None):
         """Exact ∫ f dm over each window [lo, hi] (default: the support); ends broadcast."""

@@ -6,18 +6,17 @@ the smooth factor K_t(x, y) y^(2 lam) is interpolated on panels sized by the
 kernel's scale and by the octaves of y, and integrated exactly against the
 input's affine pieces, so their cost does not grow with the input's grid.
 Fractional applications are taken on each side of x in a power of |y - x|
-that cancels the diagonal growth.  The Riesz transform at points of the
-support is a principal value: the kernel's even log singularity is
-subtracted in closed form and the rest goes to the folded integrator.  These
-integrals, and the commutators', start from the input's nodes (and the
-symbol's) as breakpoints, so the integrator begins on the interpolant's own
-affine pieces instead of searching for its kinks.  Commutators always
-integrate the fused form
+that cancels the diagonal growth, from the input's nodes as breakpoints.
 
-    int (b(x) - b(y)) K(x, y) f(y) dm(y),
+The Riesz transform and the fused commutator ∫ (b(x) - b(y)) R(x, y) f(y) dm(y),
+stable where b Tf - T(bf) cancels, share one split of the kernel,
 
-which is stable where the two-term difference b*Tf - T(bf) cancels; the
-symbol factor tames the Riesz diagonal down to an integrable singularity.
+    R(x, y) y^(2 lam) = 1/(pi (y - x)) + (lam/(pi x)) log|y - x| + h(x, y),
+
+h bounded.  Their weight is polynomial on each cell of the grids, so the
+first two terms, and with them the principal value, are integrated in
+closed form; only h is product-integrated, on panels graded into x.
+Commutators with other kernels are integrated adaptively.
 
 The Hardy-Littlewood maximal functions are exact on grid functions: the
 supremum over all intervals containing x is found by Dinkelbach's iteration
@@ -32,11 +31,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
-from .kernels import RIESZ_DIAGONAL_GUARD, KernelSpec, kernel_value
-from .measure import GridCumulative, GridFunction, MeasureSpace
+from .kernels import KernelSpec, kernel_value
+from .measure import GridCumulative, GridFunction, MeasureSpace, _cells
 from .quadrature import (IntegralResult, QuadConfig, integrate_adaptive, integrate_product,
-                         integrate_pv)
+                         integrate_pv)  # noqa: F401  (bench/spans.py wraps it here)
 
 __all__ = [
     "OperatorSpec",
@@ -130,41 +130,75 @@ def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
     steps = scale * 2.0 ** np.arange(max(0, math.ceil(math.log2(hi / scale))))
     breaks = np.concatenate([octaves, [x], x - steps, x + steps])
-    return _value(integrate_product(weight, f, lo, hi, k.quad, breaks), "semigroup application")
+    return _value(integrate_product(weight, f.segments, lo, hi, k.quad, breaks),
+                  "semigroup application")
 
 
-def _outside_band(g, x: float):
-    """g with arguments inside the band |y - x| < 4 RIESZ_DIAGONAL_GUARD x,
-    which the Riesz kernel refuses, moved to the band's nearer edge.  For an
-    integrand bounded across x this costs O(band^2), and its odd part keeps
-    cancelling in a folded integral."""
-    band = 4.0 * RIESZ_DIAGONAL_GUARD * x
+def _singular_integrals(ends: np.ndarray, alpha, beta, gamma, size) -> tuple[float, float]:
+    """(PV ∫ w/t dt, ∫ w log|t| dt) in closed form for w = alpha + beta t +
+    gamma t^2 on each cell of ``ends``.  ∫ alpha/t is summed over the ends
+    as log|end| times the jump of alpha there, so an end at t = 0 adds
+    nothing where w is continuous; a jump there beyond the rounding that
+    ``size`` bounds has no principal value and raises ValueError."""
+    jump = -np.diff(np.pad(alpha, 1))  # alpha of the cell below each end minus the one above
+    padded = np.pad(size, 1)
+    at_0 = ends == 0.0
+    if np.any(at_0 & (np.abs(jump) > 8.0 * np.finfo(float).eps * (padded[:-1] + padded[1:]))):
+        raise ValueError("the weight jumps at x: no principal value")
 
-    def clamped(y):
-        return g(np.where(np.abs(y - x) < band, np.where(y < x, x - band, x + band), y))
+    def primitives(t):
+        tl = xlogy(t, np.abs(t))  # t log|t|, 0 at t = 0
+        return (t * (beta + 0.5 * gamma * t), alpha * (tl - t)
+                + beta * t * (0.5 * tl - 0.25 * t) + gamma * t * t * (tl / 3.0 - t / 9.0))
 
-    return clamped
+    (p1, l1), (p0, l0) = primitives(ends[1:]), primitives(ends[:-1])
+    pole = np.dot(jump[~at_0], np.log(np.abs(ends[~at_0]))) + np.sum(p1 - p0)
+    return float(pole), float(np.sum(l1 - l0))
+
+
+def _riesz_product(k: KernelSpec, x: float, edges: np.ndarray, alpha, beta, gamma, size,
+                   cfg: QuadConfig) -> float:
+    """∫ R(x, y) w(y) dm(y), w = alpha + beta t + gamma t^2 in t = y - x on
+    each cell of ``edges``.  For x within a factor 2 of the support,
+
+        R(x, y) y^(2 lam) = 1/(pi t) + (lam/(pi x)) log|t| + h(x, y),
+
+    h bounded: the first two terms go to ``_singular_integrals`` and only h
+    is sampled, product-integrated in t on panels cut at the octaves of y,
+    at x and at x ± x 2^-k.  Farther off, where the three terms would
+    cancel, the whole kernel is sampled.
+    """
+    lam = k.space.lam
+    lo, hi = float(edges[0]), float(edges[-1])
+    pole, c_log = (1.0 / math.pi, lam / (math.pi * x)) if lo <= 2 * x <= 4 * hi else (0.0, 0.0)
+    ends = edges - x
+
+    def weight(t):
+        y = x + t
+        t = y - x  # the distance the kernel sees
+        return kernel_value(k, x, y) * y ** (2.0 * lam) - (pole / t + c_log * np.log(np.abs(t)))
+
+    def pieces(p_lo, p_hi):
+        j, i, u, v = _cells(ends, p_lo, p_hi)
+        return j, u, v, alpha[i], beta[i], gamma[i]
+
+    octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
+    steps = x * 2.0 ** -np.arange(1.0, 13.0)  # one round meets the default tolerance
+    breaks = np.concatenate([octaves - x, [0.0], -steps, steps])
+    pv, logs = _singular_integrals(ends, alpha, beta, gamma, size) if pole else (0.0, 0.0)
+    res = integrate_product(weight, pieces, ends[0], ends[-1], cfg, breaks)
+    return _value(res, "riesz quadrature") + pole * pv + c_log * logs
 
 
 def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """Riesz transform of f at x: principal value when x sits in supp f.
-
-    Inside the support the kernel's even log part is taken out in closed
-    form: R(x, y) y^(2 lam) = 1/(pi (y - x)) + (lam/(pi x)) log|y - x| +
-    bounded, so the PV integrand F(y) - c log|y - x|, c = lam f(x)/(pi x),
-    is an odd pole plus a bounded part, and c ∫ log|y - x| dy is added back.
-    """
+    """Riesz transform of f at x, a principal value when x is in supp f:
+    ``_riesz_product`` with w = f, at the tolerance ``spec.pv``."""
     k = spec.kernel
     if k.kind != "riesz":
         raise ValueError("apply_riesz expects the riesz kernel")
-    lo, hi = f.support
-    density = _density(k, f, x)
-    if not lo < x < hi:
-        return _value(integrate_adaptive(density, lo, hi, k.quad, f.nodes), "riesz application")
-    c = k.space.lam * f(x) / (math.pi * x)
-    subtracted = _outside_band(lambda y: density(y) - c * np.log(np.abs(y - x)), x)
-    res = integrate_pv(subtracted, x, lo, hi, spec.pv, f.nodes)
-    return res.value + c * sum(L * math.log(L) - L for L in (x - lo, hi - x))
+    _, _, _, a, b = f.segments()
+    return _riesz_product(k, x, f.nodes, a + b * x, b, np.zeros(b.size),
+                          np.abs(a) + np.abs(b * x), spec.pv)
 
 
 def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
@@ -207,28 +241,39 @@ def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     return _value(res, "fractional application")
 
 
+def _affine_on(g: GridFunction, edges: np.ndarray):
+    """g's affine pieces (a, b) on the cells of ``edges``, which refine g's grid; 0 off it."""
+    j, _, _, a, b = g.segments(edges[:-1], edges[1:])
+    return np.bincount(j, a, minlength=edges.size - 1), np.bincount(j, b, minlength=edges.size - 1)
+
+
 def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
     """[b, T] f(x) = ∫ (b(x) - b(y)) K(x, y) f(y) dm(y), fused form.
 
-    For the Riesz kernel the symbol difference reduces the diagonal to an
-    integrable singularity, and the integrand is held at its value on the
-    edge of the band around x that the kernel refuses (``_outside_band``).
+    For the Riesz kernel the weight (b(x) - b(y)) f(y) is quadratic on each
+    cell of f's and b's grids together, and goes to ``_riesz_product``.
+    Other kernels are integrated adaptively, from the nodes and x.
     """
     k = spec.kernel
     b = spec.symbol
     if b is None:
         raise ValueError("commutator requires a symbol in the operator spec")
     lo, hi = f.support
-    w = 2.0 * k.space.lam
     bx = b(x)
+    if k.kind == "riesz":
+        edges = np.unique(np.concatenate([f.nodes, b.nodes[(b.nodes > lo) & (b.nodes < hi)]]))
+        (fa, fb), (ba, bb) = _affine_on(f, edges), _affine_on(b, edges)
+        # on each cell, in t = y - x: f = phi + fb t and b(x) - b = d - bb t
+        phi, d = fa + fb * x, bx - (ba + bb * x)
+        size = (abs(bx) + np.abs(ba) + np.abs(bb * x)) * (np.abs(fa) + np.abs(fb * x))
+        return _riesz_product(k, x, edges, d * phi, d * fb - bb * phi, -bb * fb, size, k.quad)
+    w = 2.0 * k.space.lam
     # x as a breakpoint too: panels grade into a fractional diagonal
     breaks = np.concatenate([f.nodes, b.nodes, [x]])
 
     def integrand(y):
         return (bx - b(y)) * kernel_value(k, x, y) * f(y) * y ** w
 
-    if k.kind == "riesz":
-        integrand = _outside_band(integrand, x)
     return _value(integrate_adaptive(integrand, lo, hi, k.quad, breaks), "commutator quadrature")
 
 

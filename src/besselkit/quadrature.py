@@ -1,15 +1,15 @@
-"""Adaptive 1-d integration: finite intervals, products with grid functions,
-and principal values.
+"""Adaptive 1-d integration: finite intervals, products with piecewise
+polynomial weights, and principal values.
 
 One panel rule serves both integrators: the integrand's smooth factor is
 interpolated at 16 Chebyshev points per panel, the interpolant is integrated
-exactly against affine weight pieces, and the error is the interpolant's
-coefficient tail times the weight's ∫ |w|.
+exactly against polynomial weight pieces of degree at most 2, and the error
+is the interpolant's coefficient tail times a bound on ∫ |w|.
 
-- ``integrate_adaptive``: ∫ f against the weight 1, one piece per panel.
-- ``integrate_product``: ∫ g f for a smooth g and a piecewise affine grid
-  function f, whose pieces are the weight.  Only g is sampled, so the panels
-  follow g's scale, not f's grid.
+- ``integrate_adaptive``: ∫ f against the weight 1 (Fejér's first rule).
+- ``integrate_product``: ∫ g w for a smooth g and a piecewise polynomial w
+  given by its pieces.  Only g is sampled, so the panels follow g's scale,
+  not w's breakpoints.
 
 Refinement is level-synchronous: the panels start at the caller's known
 breakpoints, every round evaluates all active panels in batched integrand
@@ -18,9 +18,9 @@ rest.  Nodes are interior, so integrable endpoint singularities never get
 evaluated at the endpoint; bisection grades the mesh geometrically into
 them.  Integrands must accept numpy arrays.
 
-Principal values are folded: the integrand's two sides of the singular
-point are summed at equal distances, which cancels an odd 1/(x - s) part
-exactly and leaves an ordinary integral.
+``integrate_pv`` folds a principal value: the integrand's two sides of the
+singular point are summed at equal distances, which cancels an odd
+1/(x - s) part exactly and leaves an ordinary integral.
 """
 
 from __future__ import annotations
@@ -77,20 +77,22 @@ _EPS = float(np.finfo(float).eps)
 
 @lru_cache(maxsize=1)
 def _cheb():
-    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and the matrix
-    that maps values there, in one product, to the Chebyshev coefficients of
-    P(s) = ∫_-1^s p and Q(s) = ∫_-1^s u p(u) du, p their interpolant, and in
-    its last two columns to p's own last two coefficients."""
+    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and for m = 0 .. 3
+    the matrix that maps values there, in one product, to the Chebyshev
+    coefficients of ∫_-1^s u^l p(u) du for l < m, p their interpolant, then
+    to ∫_-1^1 p (Fejér's first rule) and to p's own last two coefficients."""
     n = _CHEB_N
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     to_coef = chebyshev.chebvander(nodes, n - 1).T * (2.0 / n)
     to_coef[0] *= 0.5
     # s T_0 = T_1 and s T_k = (T_(k+1) + T_(k-1))/2
-    times_s = 0.5 * (np.eye(n + 1, n, -1) + np.eye(n + 1, n, 1))
+    times_s = 0.5 * (np.eye(n + 2, n + 1, -1) + np.eye(n + 2, n + 1, 1))
     times_s[1, 0] = 1.0
-    to_p = chebyshev.chebint(to_coef, lbnd=-1.0)
-    to_q = chebyshev.chebint(times_s @ to_coef, lbnd=-1.0)
-    return nodes, np.vstack([to_p, to_q, to_coef[-2:]]).T
+    moments = [to_coef, times_s[:-1, :-1] @ to_coef]
+    moments.append(times_s @ moments[1])
+    blocks = [chebyshev.chebint(m, lbnd=-1.0) for m in moments]
+    full = np.vstack(blocks + [blocks[0].sum(axis=0), to_coef[-2:]]).T
+    return nodes, [np.hstack([full[:, :c], full[:, -3:]]) for c in (0, n + 1, 2 * n + 3, 3 * n + 6)]
 
 
 def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> IntegralResult:
@@ -150,19 +152,21 @@ def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> Inte
     return IntegralResult(total_v, total_e, converged)
 
 
-def _product_panels(g: Callable, pieces: Callable, lo: np.ndarray,
+def _product_panels(g: Callable, pieces: Callable | None, lo: np.ndarray,
                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, error) of ∫ g f over every panel (lo, hi) by product integration.
+    """(value, error) of ∫ g w over every panel (lo, hi) by product integration.
 
-    ``pieces(lo, hi)`` gives f's affine pieces in the panels, as
-    ``GridFunction.segments`` does.  g is interpolated at the _CHEB_N
-    Chebyshev points of each panel, and the interpolant p(s), s the panel's
-    local coordinate, is integrated exactly against the pieces: a + b y on
-    (y0, y1) contributes half [(a + b mid) ΔP + b half ΔQ], with P and Q the
-    antiderivatives of p and of s p.  The error is the coefficient tail
-    |c_(n-2)| + |c_(n-1)| (two, so a panel even or odd about its midpoint
-    cannot hide it) times ∫ |f| dy, plus eps times the summed sizes of the
-    terms for rounding.
+    ``pieces(lo, hi)`` gives w's pieces in the panels, (k, y0, y1, a, b[, c]):
+    w = a + b y + c y^2 on (y0, y1) in panel k, as ``GridFunction.segments``
+    does with c = 0.  g is interpolated at the _CHEB_N Chebyshev points of
+    each panel, and the interpolant p(s), s the panel's local coordinate, is
+    integrated exactly against the pieces: with y = mid + half s a piece is
+    A + B s + C s^2 and contributes half [A ΔP + B ΔQ + C ΔR], P, Q and R
+    the antiderivatives of p, s p and s^2 p.  The error is the coefficient
+    tail |c_(n-2)| + |c_(n-1)| (two, so a panel even or odd about its
+    midpoint cannot hide it) times a bound on ∫ |w| dy, plus eps times the
+    summed sizes of the terms.  ``pieces=None`` is the weight 1 on whole
+    panels: Fejér's first rule, and the tail times the panel's width.
     """
     nodes, maps = _cheb()
     n = nodes.size
@@ -176,39 +180,50 @@ def _product_panels(g: Callable, pieces: Callable, lo: np.ndarray,
         j = min(i + step, lo.size)
         start, h = lo[i:j], half[i:j]
         samples = np.asarray(g((start[:, None] + h[:, None] * (1.0 + nodes)).ravel()), dtype=float)
+        k, y0, y1, *w = pieces(lo[i:j], hi[i:j]) if pieces else (None, None, None)
+        m = len(w)  # coefficients a piece: none for the weight 1, 2 affine, 3 quadratic
         # an inf sample makes inf * 0 here; the non-finite total reports it
         with np.errstate(invalid="ignore"):
-            coef = samples.reshape(j - i, n) @ maps
-        p_coef, q_coef = coef[:, :n + 1], coef[:, n + 1:-2]
-        k, y0, y1, a, b = pieces(lo[i:j], hi[i:j])
-        lk, hk = start[k], h[k]
-        # T_0 .. T_(n+1) at both ends of every piece, by the three-term recurrence
-        s = (np.concatenate([y1, y0]) - np.tile(lk, 2)) / np.tile(hk, 2) - 1.0
-        cheb_t = np.empty((n + 2, s.size))
-        cheb_t[0], cheb_t[1] = 1.0, s
-        for l in range(2, n + 2):
-            cheb_t[l] = 2.0 * s * cheb_t[l - 1] - cheb_t[l - 2]
-        ends = np.tile(k, 2)
-        p_end = np.einsum("ji,ij->i", cheb_t[:-1], p_coef[ends]).reshape(2, -1)
-        q_end = np.einsum("ji,ij->i", cheb_t, q_coef[ends]).reshape(2, -1)
-        mk = lk + hk
-        piece = hk * ((a + b * mk) * (p_end[0] - p_end[1]) + b * hk * (q_end[0] - q_end[1]))
-        # the terms before they cancel: a steep piece far from the panel's
-        # middle, or one much shorter than the panel, loses their digits
-        terms = hk * ((np.abs(a) + np.abs(b * mk)) * np.abs(p_end).sum(axis=0)
-                      + np.abs(b) * hk * np.abs(q_end).sum(axis=0))
-        # ∫|a + b y| by the trapezoid rule: exact without a sign change, above it with one
-        abs_f = 0.5 * (y1 - y0) * (np.abs(a + b * y0) + np.abs(a + b * y1))
+            coef = samples.reshape(j - i, n) @ maps[m]
         tail = np.abs(coef[:, -2:]).sum(axis=1)
+        if not m:
+            val[i:j] = h * coef[:, -3]
+            err[i:j] = 2.0 * h * tail + _EPS * np.abs(val[i:j])
+            continue
+        lk, hk = start[k], h[k]
+        # T_0 .. T_(n+m-1) at both ends of every piece, by the three-term recurrence
+        s = (np.concatenate([y1, y0]) - np.tile(lk, 2)) / np.tile(hk, 2) - 1.0
+        cheb_t = np.empty((n + m, s.size))
+        cheb_t[0], cheb_t[1] = 1.0, s
+        for l in range(2, n + m):
+            cheb_t[l] = 2.0 * s * cheb_t[l - 1] - cheb_t[l - 2]
+        ends, col, moments = np.tile(k, 2), 0, []
+        for l in range(n + 1, n + 1 + m):  # P, Q, R have n + 1, n + 2, n + 3 coefficients
+            at_ends = np.einsum("ji,ij->i", cheb_t[:l], coef[ends, col:col + l])
+            moments.append(at_ends.reshape(2, -1))
+            col += l
+        # w = A + B s (+ C s^2) in the panel's coordinate, and the sizes of the
+        # terms before they cancel: a steep piece far from the panel's middle,
+        # or one much shorter than the panel, loses their digits
+        a, b, *c = w
+        mk = lk + hk
+        terms, sizes = [a + b * mk, b * hk], [np.abs(a) + np.abs(b * mk), np.abs(b) * hk]
+        w0, w1, bulge = a + b * y0, a + b * y1, 0.0
+        if c:
+            c = c[0]
+            terms = [terms[0] + c * mk * mk, terms[1] + 2.0 * c * mk * hk, c * hk * hk]
+            sizes = [sizes[0] + np.abs(c * mk * mk), sizes[1] + np.abs(2.0 * c * mk * hk),
+                     np.abs(c) * hk * hk]
+            # |w - chord| is |c| (y - y0)(y1 - y), whose integral is |c| (y1 - y0)^3 / 6
+            w0, w1, bulge = w0 + c * y0 * y0, w1 + c * y1 * y1, np.abs(c) * (y1 - y0) ** 3 / 6.0
+        piece = hk * sum(t * (mo[0] - mo[1]) for t, mo in zip(terms, moments))
+        rounding = hk * sum(z * np.abs(mo).sum(axis=0) for z, mo in zip(sizes, moments))
+        # ∫|w| dy: the trapezoid rule bounds ∫|chord|, the bulge the rest
+        abs_w = 0.5 * (y1 - y0) * (np.abs(w0) + np.abs(w1)) + bulge
         val[i:j] = np.bincount(k, piece, minlength=j - i)
-        err[i:j] = (tail * np.bincount(k, abs_f, minlength=j - i)
-                    + _EPS * np.bincount(k, terms, minlength=j - i))
+        err[i:j] = (tail * np.bincount(k, abs_w, minlength=j - i)
+                    + _EPS * np.bincount(k, rounding, minlength=j - i))
     return val, err
-
-
-def _unit_pieces(lo: np.ndarray, hi: np.ndarray):
-    """The weight 1 as ``_product_panels`` pieces: a = 1, b = 0 on each whole panel."""
-    return np.arange(lo.size), lo, hi, np.ones(lo.size), np.zeros(lo.size)
 
 
 def integrate_adaptive(
@@ -216,27 +231,26 @@ def integrate_adaptive(
 ) -> IntegralResult:
     """Globally adaptive integral of f over (a, b): the product rule against 1.
 
-    f is interpolated at 16 Chebyshev points a panel, and the panel's error
-    is its coefficient tail times the panel's width.  The panels start at
-    (a, b) cut at the ``breaks`` that lie inside it: kinks and other known
-    breakpoints of f, which bisection would otherwise have to find.
-    Refinement and convergence are those of ``_rounds``.
+    The panels start at (a, b) cut at the ``breaks`` that lie inside it:
+    kinks and other known breakpoints of f, which bisection would otherwise
+    have to find.  Refinement and convergence are those of ``_rounds``.
     """
-    return _rounds(partial(_product_panels, f, _unit_pieces), a, b, cfg, breaks)
+    return _rounds(partial(_product_panels, f, None), a, b, cfg, breaks)
 
 
 def integrate_product(
-    g: Callable, f, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
+    g: Callable, pieces: Callable, a: float, b: float, cfg: QuadConfig = QuadConfig(), breaks=None
 ) -> IntegralResult:
-    """∫_a^b g(y) f(y) dy for smooth g and piecewise affine f, by product integration.
+    """∫_a^b g(y) w(y) dy for smooth g and piecewise polynomial w, by product integration.
 
-    ``f`` is a ``GridFunction``: only g is sampled, 16 points a panel, and
-    f enters through its exact affine pieces, so the panels follow g's
-    scale and not f's grid.  The panels start at (a, b) cut at the
-    ``breaks`` inside it, where g is not smooth or changes scale; refinement
-    and convergence are those of ``_rounds``.
+    ``pieces(lo, hi)`` gives w's pieces, of degree at most 2, in the windows
+    (lo, hi) (see ``_product_panels``; ``GridFunction.segments`` gives a
+    grid function's).  Only g is sampled, so the panels follow g's scale,
+    not w's breakpoints.  They start at (a, b) cut at the ``breaks`` inside
+    it, where g is not smooth or changes scale; refinement and convergence
+    are those of ``_rounds``.
     """
-    return _rounds(partial(_product_panels, g, f.segments), a, b, cfg, breaks)
+    return _rounds(partial(_product_panels, g, pieces), a, b, cfg, breaks)
 
 
 def integrate_pv(

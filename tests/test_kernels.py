@@ -191,9 +191,22 @@ def test_riesz_homogeneity():
 
 
 def test_riesz_rejects_diagonal():
+    # only y == x itself: next to it the kernel is evaluated (see below)
     spec = KernelSpec("riesz", SP1)
     with pytest.raises(ValueError):
-        kernel_value(spec, 1.0, 1.0 + 1e-9)
+        kernel_value(spec, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        kernel_value(spec, np.array([0.5, 2.0]), np.array([0.7, 2.0]))
+
+
+@pytest.mark.parametrize("y", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_riesz_next_to_the_diagonal_against_mpmath(y):
+    # 1e-9 from the diagonal the kernel is 3.2e8; measured relative gaps to
+    # the angular integral were 1.9e-16 and 5.6e-16 (and up to 4e-15 at lam
+    # = 0.3 and 2.5)
+    spec = KernelSpec("riesz", SP1)
+    want = float(mp_kernel(spec, 1.0, y))
+    assert kernel_value(spec, 1.0, y) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_riesz_not_symmetric():
