@@ -4,7 +4,7 @@ Layers, bottom up:
 
 - ``measure``    -- the measure space, ball volumes, grids, exact grid integrals
 - ``special``    -- modified Bessel I_mu
-- ``quadrature`` -- adaptive and principal-value integration
+- ``quadrature`` -- one Chebyshev panel rule: adaptive, product and PV integration
 - ``kernels``    -- heat, Poisson, conjugate-Poisson, Riesz and fractional kernels
 - ``operators``  -- semigroups, singular and fractional integrals, commutators,
                     maximal functions

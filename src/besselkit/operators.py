@@ -1,22 +1,30 @@
 """Operators: kernels applied to functions, commutators, maximal functions.
 
-Semigroup and fractional applications are absolutely convergent integrals
-over the (compact) support of the input.  Semigroups are product-integrated:
-the smooth factor K_t(x, y) y^(2 lam) is interpolated on panels sized by the
-kernel's scale and by the octaves of y, and integrated exactly against the
-input's affine pieces, so their cost does not grow with the input's grid.
-Fractional applications are taken on each side of x in a power of |y - x|
-that cancels the diagonal growth, from the input's nodes as breakpoints.
+The four kernel operators (``apply_semigroup``, ``apply_riesz``,
+``apply_frac``, ``commutator``) integrate K(x, y) w(y) dm(y) over the
+(compact) support of f, with w = f, or w = (b(x) - b(y)) f(y) for the fused
+commutator [b, T] f(x), which stays stable where b Tf - T(bf) cancels.  They
+make one call, ``_apply``, at the kernel's ``quad`` tolerance, and the kernel
+picks the route.
 
-The Riesz transform and the fused commutator ∫ (b(x) - b(y)) R(x, y) f(y) dm(y),
-stable where b Tf - T(bf) cancels, share one split of the kernel,
+Fractional kernels: each side of x is integrated in a power of |y - x| that
+cancels the diagonal growth, with f's and b's nodes as breakpoints.
 
-    R(x, y) y^(2 lam) = 1/(pi (y - x)) + (lam/(pi x)) log|y - x| + h(x, y),
+Heat, Poisson and conjugate Poisson kernels: w is affine (f) or quadratic
+((b(x) - b) f) in t = y - x on each cell of f's and b's grids, and the
+smooth factor K(x, y) y^(2 lam) is interpolated on Chebyshev panels and
+integrated exactly against it, so the cost follows the kernel, not the
+grids.  The panels start at the support's octaves and at x ± l 2^k below
+the support's end, l = sqrt(t) (heat) or t (Poisson).
 
-h bounded.  Their weight is polynomial on each cell of the grids, so the
-first two terms, and with them the principal value, are integrated in
-closed form; only h is product-integrated, on panels graded into x.
-Commutators with other kernels are integrated adaptively.
+The Riesz kernel takes the same route on panels at x ± x 2^-k, k = 1..12.
+For x within a factor 2 of the support (farther off, the terms would cancel)
+it is split as
+
+    R(x, y) y^(2 lam) = 1/(pi t) + (lam/(pi x)) log|t| + h(x, y),
+
+h bounded: the first two terms, and with them the principal value, are
+integrated against w in closed form, and only h is sampled.
 
 The Hardy-Littlewood maximal functions are exact on grid functions: the
 supremum over all intervals containing x is found by Dinkelbach's iteration
@@ -55,7 +63,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A kernel plus optional commutator symbol and PV settings."""
+    """A kernel plus an optional commutator symbol.
+
+    ``pv`` is not read: every operator integrates at ``kernel.quad``.  The
+    field stays for the callers that still pass it.
+    """
 
     kernel: KernelSpec
     symbol: GridFunction | None = None
@@ -104,36 +116,6 @@ def _value(res: IntegralResult, what: str) -> float:
     return res.value
 
 
-def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """(K_t f)(x) = ∫ K_t(x, y) f(y) dm(y) for the heat/Poisson families.
-
-    Product integration (``integrate_product``): K_t(x, y) y^(2 lam) is
-    interpolated on Chebyshev panels and integrated exactly against f's
-    affine pieces, so the kernel work follows the kernel and does not grow
-    with f's grid.  The first panels are one octave of each factor wide:
-    y^(2 lam) is analytic in a disc of radius y about y, so the support is
-    cut at lo 2^k; K_t varies on the scale l = sqrt(t) (heat) or t
-    (Poisson) about x, so it is cut at x and at x ± l 2^k too.  Without the
-    second ladder a peak much narrower than an octave falls between the
-    first panels' points and is never seen.
-    """
-    k = spec.kernel
-    if k.kind not in ("heat", "poisson", "conj_poisson"):
-        raise ValueError("apply_semigroup expects a heat or Poisson-type kernel")
-    lo, hi = f.support
-    w = 2.0 * k.space.lam
-
-    def weight(y):
-        return kernel_value(k, x, y) * y ** w
-
-    scale = math.sqrt(k.t) if k.kind == "heat" else k.t
-    octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
-    steps = scale * 2.0 ** np.arange(max(0, math.ceil(math.log2(hi / scale))))
-    breaks = np.concatenate([octaves, [x], x - steps, x + steps])
-    return _value(integrate_product(weight, f.segments, lo, hi, k.quad, breaks),
-                  "semigroup application")
-
-
 def _singular_integrals(ends: np.ndarray, alpha, beta, gamma, size) -> tuple[float, float]:
     """(PV ∫ w/t dt, ∫ w log|t| dt) in closed form for w = alpha + beta t +
     gamma t^2 on each cell of ``ends``.  ∫ alpha/t is summed over the ends
@@ -156,51 +138,6 @@ def _singular_integrals(ends: np.ndarray, alpha, beta, gamma, size) -> tuple[flo
     return float(pole), float(np.sum(l1 - l0))
 
 
-def _riesz_product(k: KernelSpec, x: float, edges: np.ndarray, alpha, beta, gamma, size,
-                   cfg: QuadConfig) -> float:
-    """∫ R(x, y) w(y) dm(y), w = alpha + beta t + gamma t^2 in t = y - x on
-    each cell of ``edges``.  For x within a factor 2 of the support,
-
-        R(x, y) y^(2 lam) = 1/(pi t) + (lam/(pi x)) log|t| + h(x, y),
-
-    h bounded: the first two terms go to ``_singular_integrals`` and only h
-    is sampled, product-integrated in t on panels cut at the octaves of y,
-    at x and at x ± x 2^-k.  Farther off, where the three terms would
-    cancel, the whole kernel is sampled.
-    """
-    lam = k.space.lam
-    lo, hi = float(edges[0]), float(edges[-1])
-    pole, c_log = (1.0 / math.pi, lam / (math.pi * x)) if lo <= 2 * x <= 4 * hi else (0.0, 0.0)
-    ends = edges - x
-
-    def weight(t):
-        y = x + t
-        t = y - x  # the distance the kernel sees
-        return kernel_value(k, x, y) * y ** (2.0 * lam) - (pole / t + c_log * np.log(np.abs(t)))
-
-    def pieces(p_lo, p_hi):
-        j, i, u, v = _cells(ends, p_lo, p_hi)
-        return j, u, v, alpha[i], beta[i], gamma[i]
-
-    octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
-    steps = x * 2.0 ** -np.arange(1.0, 13.0)  # one round meets the default tolerance
-    breaks = np.concatenate([octaves - x, [0.0], -steps, steps])
-    pv, logs = _singular_integrals(ends, alpha, beta, gamma, size) if pole else (0.0, 0.0)
-    res = integrate_product(weight, pieces, ends[0], ends[-1], cfg, breaks)
-    return _value(res, "riesz quadrature") + pole * pv + c_log * logs
-
-
-def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """Riesz transform of f at x, a principal value when x is in supp f:
-    ``_riesz_product`` with w = f, at the tolerance ``spec.pv``."""
-    k = spec.kernel
-    if k.kind != "riesz":
-        raise ValueError("apply_riesz expects the riesz kernel")
-    _, _, _, a, b = f.segments()
-    return _riesz_product(k, x, f.nodes, a + b * x, b, np.zeros(b.size),
-                          np.abs(a) + np.abs(b * x), spec.pv)
-
-
 def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
             nodes: np.ndarray) -> IntegralResult:
     """∫_lo^hi g(u, r) du with r = |u - x|, each side of x in s = r^gamma.
@@ -209,8 +146,6 @@ def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
     the diagonal, and r never comes from rounding x - u.  The nodes on each
     side are its breakpoints in s.
     """
-    if not 0 <= x < math.inf:
-        raise ValueError(f"need a finite x >= 0, got {x}")
     pieces = []
     for sign, r0, r1 in ((-1.0, max(x - hi, 0.0), x - lo), (1.0, max(lo - x, 0.0), hi - x)):
         if r1 <= r0:
@@ -226,55 +161,102 @@ def _radial(g, x: float, lo: float, hi: float, gamma: float, cfg: QuadConfig,
                           all(p.converged for p in pieces))
 
 
-def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """Fractional integral of f at x; integrable diagonal, no PV needed.
-
-    K_a(x, y) grows like |x - y|^(a - 1) for a < 1, so each side of x is
-    integrated in s = |y - x|^min(a, 1), where the integrand is bounded.
-    """
-    k = spec.kernel
-    if k.kind != "fractional":
-        raise ValueError("apply_frac expects the fractional kernel")
-    lo, hi = f.support
-    density = _density(k, f, x)
-    res = _radial(lambda y, r: density(y), x, lo, hi, min(k.alpha, 1.0), k.quad, f.nodes)
-    return _value(res, "fractional application")
-
-
 def _affine_on(g: GridFunction, edges: np.ndarray):
     """g's affine pieces (a, b) on the cells of ``edges``, which refine g's grid; 0 off it."""
     j, _, _, a, b = g.segments(edges[:-1], edges[1:])
     return np.bincount(j, a, minlength=edges.size - 1), np.bincount(j, b, minlength=edges.size - 1)
 
 
-def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
-    """[b, T] f(x) = ∫ (b(x) - b(y)) K(x, y) f(y) dm(y), fused form.
-
-    For the Riesz kernel the weight (b(x) - b(y)) f(y) is quadratic on each
-    cell of f's and b's grids together, and goes to ``_riesz_product``.
-    Other kernels are integrated adaptively, from the nodes and x.
-    """
-    k = spec.kernel
-    b = spec.symbol
-    if b is None:
-        raise ValueError("commutator requires a symbol in the operator spec")
+def _apply(k: KernelSpec, f: GridFunction, b: GridFunction | None, x: float) -> float:
+    """∫ K(x, y) w(y) dm(y) for w = f, or for w = (b(x) - b(y)) f(y), the
+    commutator [b, T] f(x); the kernel picks the route (module docstring)."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"need a finite x > 0, got {x}")
     lo, hi = f.support
-    bx = b(x)
-    if k.kind == "riesz":
+    bx = 0.0 if b is None else b(x)
+    if k.kind == "fractional":
+        density = _density(k, f, x)
+        if b is None:
+            g, nodes = lambda y, r: density(y), f.nodes
+        else:
+            g, nodes = lambda y, r: (bx - b(y)) * density(y), np.concatenate([f.nodes, b.nodes])
+        res = _radial(g, x, lo, hi, min(k.alpha, 1.0), k.quad, nodes)
+        return _value(res, "fractional quadrature")
+    # w on each cell of ``edges``, in t = y - x: alpha + beta t (+ gamma t^2)
+    if b is None:
+        edges, v = f.nodes, f.values
+        linear = f.interp == "linear"
+        fb = (v[1:] - v[:-1]) / (edges[1:] - edges[:-1]) if linear else np.zeros(v.size - 1)
+        fa = v[:-1] - fb * edges[:-1]
+        coefs, b_size = (fa + fb * x, fb), 1.0
+    else:
         edges = np.unique(np.concatenate([f.nodes, b.nodes[(b.nodes > lo) & (b.nodes < hi)]]))
         (fa, fb), (ba, bb) = _affine_on(f, edges), _affine_on(b, edges)
-        # on each cell, in t = y - x: f = phi + fb t and b(x) - b = d - bb t
+        # f = phi + fb t and b(x) - b = d - bb t
         phi, d = fa + fb * x, bx - (ba + bb * x)
-        size = (abs(bx) + np.abs(ba) + np.abs(bb * x)) * (np.abs(fa) + np.abs(fb * x))
-        return _riesz_product(k, x, edges, d * phi, d * fb - bb * phi, -bb * fb, size, k.quad)
-    w = 2.0 * k.space.lam
-    # x as a breakpoint too: panels grade into a fractional diagonal
-    breaks = np.concatenate([f.nodes, b.nodes, [x]])
+        coefs = (d * phi, d * fb - bb * phi, -bb * fb)
+        b_size = abs(bx) + np.abs(ba) + np.abs(bb * x)
+    ends = edges - x
+    lam = k.space.lam
+    if k.kind == "riesz":
+        scale, top = x * 2.0 ** -12, x  # one round meets the default tolerance
+    else:
+        scale, top = math.sqrt(k.t) if k.kind == "heat" else k.t, hi
+    split = k.kind == "riesz" and lo <= 2 * x <= 4 * hi
+    pole, c_log, pv, logs = 0.0, 0.0, 0.0, 0.0
+    if split:
+        pole, c_log = 1.0 / math.pi, lam / (math.pi * x)
+        size = b_size * (np.abs(fa) + np.abs(fb * x))
+        pv, logs = _singular_integrals(ends, *coefs[:2], 0.0 if b is None else coefs[2], size)
 
-    def integrand(y):
-        return (bx - b(y)) * kernel_value(k, x, y) * f(y) * y ** w
+    def weight(t):
+        y = x + t
+        kw = kernel_value(k, x, y) * y ** (2.0 * lam)
+        if not split:
+            return kw
+        t = y - x  # the distance the kernel sees
+        return kw - (pole / t + c_log * np.log(np.abs(t)))
 
-    return _value(integrate_adaptive(integrand, lo, hi, k.quad, breaks), "commutator quadrature")
+    def pieces(p_lo, p_hi):
+        j, i, u, v = _cells(ends, p_lo, p_hi)
+        return (j, u, v) + tuple(c[i] for c in coefs)
+
+    # y^(2 lam) is analytic in a disc of radius y about y, and K varies on the
+    # scale l about x: a peak much narrower than an octave would fall between
+    # the first panels' points and never be seen without the second ladder
+    octaves = lo * 2.0 ** np.arange(1, math.ceil(math.log2(hi / lo)))
+    steps = scale * 2.0 ** np.arange(max(0, math.ceil(math.log2(top / scale))))
+    breaks = np.concatenate([octaves - x, [0.0], -steps, steps])
+    res = integrate_product(weight, pieces, ends[0], ends[-1], k.quad, breaks)
+    return _value(res, f"{k.kind} quadrature") + pole * pv + c_log * logs
+
+
+def apply_semigroup(spec: OperatorSpec, f: GridFunction, x: float) -> float:
+    """(K_t f)(x) = ∫ K_t(x, y) f(y) dm(y) for the heat/Poisson families."""
+    if spec.kernel.kind not in ("heat", "poisson", "conj_poisson"):
+        raise ValueError("apply_semigroup expects a heat or Poisson-type kernel")
+    return _apply(spec.kernel, f, None, x)
+
+
+def apply_riesz(spec: OperatorSpec, f: GridFunction, x: float) -> float:
+    """Riesz transform of f at x, a principal value when x is in supp f."""
+    if spec.kernel.kind != "riesz":
+        raise ValueError("apply_riesz expects the riesz kernel")
+    return _apply(spec.kernel, f, None, x)
+
+
+def apply_frac(spec: OperatorSpec, f: GridFunction, x: float) -> float:
+    """Fractional integral of f at x; integrable diagonal, no PV needed."""
+    if spec.kernel.kind != "fractional":
+        raise ValueError("apply_frac expects the fractional kernel")
+    return _apply(spec.kernel, f, None, x)
+
+
+def commutator(spec: OperatorSpec, f: GridFunction, x: float) -> float:
+    """[b, T] f(x) = ∫ (b(x) - b(y)) K(x, y) f(y) dm(y), fused form, b = ``spec.symbol``."""
+    if spec.symbol is None:
+        raise ValueError("commutator requires a symbol in the operator spec")
+    return _apply(spec.kernel, f, spec.symbol, x)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +330,8 @@ def frac_integral_Igamma(
     """∫ f(u) m(I(x, |x-u|))^(gamma - 1) dm(u) for 0 < gamma < 1."""
     if not 0 < gamma < 1:
         raise ValueError("need 0 < gamma < 1")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"need a finite x >= 0, got {x}")
     lo, hi = f.support
     w = 2.0 * space.lam
 

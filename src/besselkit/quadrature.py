@@ -77,7 +77,7 @@ _EPS = float(np.finfo(float).eps)
 
 @lru_cache(maxsize=1)
 def _cheb():
-    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and for m = 0 .. 3
+    """The _CHEB_N first-kind Chebyshev points on [-1, 1], and for m = 0, 2, 3
     the matrix that maps values there, in one product, to the Chebyshev
     coefficients of ∫_-1^s u^l p(u) du for l < m, p their interpolant, then
     to ∫_-1^1 p (Fejér's first rule) and to p's own last two coefficients."""
@@ -91,8 +91,8 @@ def _cheb():
     moments = [to_coef, times_s[:-1, :-1] @ to_coef]
     moments.append(times_s @ moments[1])
     blocks = [chebyshev.chebint(m, lbnd=-1.0) for m in moments]
-    full = np.vstack(blocks + [blocks[0].sum(axis=0), to_coef[-2:]]).T
-    return nodes, [np.hstack([full[:, :c], full[:, -3:]]) for c in (0, n + 1, 2 * n + 3, 3 * n + 6)]
+    tail = [blocks[0].sum(axis=0), to_coef[-2:]]
+    return nodes, {m: np.vstack(blocks[:m] + tail).T for m in (0, 2, 3)}
 
 
 def _rounds(rule: Callable, a: float, b: float, cfg: QuadConfig, breaks) -> IntegralResult:

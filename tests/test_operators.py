@@ -66,26 +66,16 @@ def test_semigroup_law_poisson():
 
 @pytest.mark.parametrize("kind,t,x", [("heat", 0.02, 1.0), ("poisson", 2.0, 3e-5),
                                      ("conj_poisson", 0.02, 6.8)])
-def test_semigroup_on_a_fine_grid_takes_few_kernel_calls(monkeypatch, kind, t, x):
+def test_semigroup_on_a_fine_grid_takes_few_kernel_calls(kernel_points, kind, t, x):
     # the panels start at x, at x +- l 2^k for the kernel's scale l and at
     # the support's octaves, 16 Chebyshev points each, whatever the grid;
     # on this Gaussian the three cases converge in one round of 480, 368
     # and 368 points, where starting from the grid's 1199 cells took 37169
-    import besselkit.operators as ops
-
-    sizes = []
-    real = ops.kernel_value
-
-    def counted(spec, x, y, **kw):
-        sizes.append(np.size(y))
-        return real(spec, x, y, **kw)
-
-    monkeypatch.setattr(ops, "kernel_value", counted)
     nodes = np.linspace(1e-5, 6.0, 1200)
     f = GridFunction(nodes, np.exp(-nodes * nodes))
     apply_semigroup(OperatorSpec(KernelSpec(kind, MeasureSpace(0.75), t=t)), f, x)
-    assert len(sizes) <= 4
-    assert sum(sizes) <= 16 * 40
+    assert len(kernel_points) <= 4
+    assert sum(kernel_points) <= 16 * 40
 
 
 def product_result(monkeypatch, spec, f, x):
@@ -268,7 +258,7 @@ def test_riesz_pv_meets_a_tight_tolerance_next_to_a_power_of_two(x):
     f = GridFunction(nodes, np.sin(np.pi * (nodes - 0.5) / 2.5) ** 2)
 
     def riesz(cfg):
-        return apply_riesz(OperatorSpec(KernelSpec("riesz", SP, quad=cfg), pv=cfg), f, x)
+        return apply_riesz(OperatorSpec(KernelSpec("riesz", SP, quad=cfg)), f, x)
 
     tight, loose = riesz(QuadConfig(1e-13, 1e-12)), riesz(QuadConfig(1e-12, 1e-11))
     assert abs(tight - loose) <= 1e-12 + 1e-11 * abs(loose)
@@ -453,16 +443,17 @@ def test_commutator_fused_equals_two_pv_calls_on_support(lam, where):
     assert fused == pytest.approx(two_pv, abs=1e-9)
 
 
-def commutator_reference(lam, f, b, x):
-    """[b, R] f(x) from QUADPACK: the bounded integrand
-    (b(x) - b(y)) R(x, y) f(y) y^(2 lam), one quad per cell of the union of
-    f's and b's grids and x.  R comes from the kernel's core, and shares
-    nothing with the operator's split."""
+def commutator_reference(k, f, b, x):
+    """[b, T] f(x) from QUADPACK: the integrand
+    (b(x) - b(y)) K(x, y) f(y) y^(2 lam), bounded or integrably singular at
+    x, one quad per cell of the union of f's and b's grids and x.  K comes
+    from ``kernel_value`` alone, and shares nothing with the operator's
+    panels or with the Riesz split."""
     bx = b(x)
+    w = 2.0 * k.space.lam
 
     def integrand(y):
-        r = _poisson_family(lam, np.array([x]), np.array([y]), 0.0, True, False)[0][0]
-        return (bx - b(y)) * r * f(y) * y ** (2 * lam)
+        return (bx - b(y)) * kernel_value(k, x, y) * f(y) * y ** w
 
     lo, hi = f.support
     edges = np.unique(np.concatenate([f.nodes, b.nodes, [x]]))
@@ -471,21 +462,36 @@ def commutator_reference(lam, f, b, x):
                for u, v in zip(edges[:-1], edges[1:]))
 
 
-@pytest.mark.parametrize("lam", [0.75, 1.25])
-@pytest.mark.parametrize("where", ["mid-cell", "near-node", "at-node", "at-symbol-node",
-                                   "above", "below"])
-def test_commutator_against_quadpack_per_cell(lam, where):
+SIN2_NODES = np.linspace(0.5, 3.0, 21)
+SYMBOL_NODES = np.geomspace(0.7, 4.0, 13)
+COMMUTATOR_TARGETS = {"mid-cell": 1.125, "near-node": SIN2_NODES[8] + 1e-9,
+                      "at-node": SIN2_NODES[8], "at-symbol-node": SYMBOL_NODES[4],
+                      "above": 3.5, "below": 0.2}
+COMMUTATOR_KERNELS = [("heat", dict(t=0.05)), ("poisson", dict(t=0.1)),
+                      ("conj_poisson", dict(t=0.1)), ("fractional", dict(alpha=0.6)),
+                      ("fractional", dict(alpha=1.5))]
+
+
+@pytest.mark.parametrize("kind,params,lam,where", [
+    *(pytest.param("riesz", {}, lam, where, id=f"{where}-{lam}")
+      for where in COMMUTATOR_TARGETS for lam in (0.75, 1.25)),
+    *(pytest.param(kind, params, 0.75, where, id=f"{kind}-{v}-{where}")
+      for kind, params in COMMUTATOR_KERNELS for v in params.values()
+      for where in ("mid-cell", "at-node", "above"))])
+def test_commutator_against_quadpack_per_cell(kind, params, lam, where):
     # symbol y^2 on its own grid, which starts inside f's support (b jumps
     # from 0 there) and ends beyond it, at the default tolerance; measured
-    # gaps at most 2.9e-15
-    nodes = np.linspace(0.5, 3.0, 21)
-    f = GridFunction(nodes, np.sin(np.pi * (nodes - 0.5) / 2.5) ** 2)
-    b_nodes = np.geomspace(0.7, 4.0, 13)
-    b = GridFunction(b_nodes, b_nodes ** 2)
-    x = {"mid-cell": 1.125, "near-node": nodes[8] + 1e-9, "at-node": nodes[8],
-         "at-symbol-node": b_nodes[4], "above": 3.5, "below": 0.2}[where]
-    got = commutator(OperatorSpec(KernelSpec("riesz", MeasureSpace(lam)), symbol=b), f, x)
-    assert got == pytest.approx(commutator_reference(lam, f, b, x), rel=0, abs=1e-11)
+    # gaps at most 2.9e-15 (Riesz) and 7.9e-14 (heat and Poisson).  The
+    # fractional kernels take the adaptive radial route, whose bar is the
+    # tolerance asked for: measured gaps up to 2.7e-11
+    f = GridFunction(SIN2_NODES, np.sin(np.pi * (SIN2_NODES - 0.5) / 2.5) ** 2)
+    b = GridFunction(SYMBOL_NODES, SYMBOL_NODES ** 2)
+    x = COMMUTATOR_TARGETS[where]
+    k = KernelSpec(kind, MeasureSpace(lam), **params)
+    got = commutator(OperatorSpec(k, symbol=b), f, x)
+    ref = commutator_reference(k, f, b, x)
+    bar = k.quad.abs_tol + k.quad.rel_tol * abs(ref) if kind == "fractional" else 1e-11
+    assert got == pytest.approx(ref, rel=0, abs=bar)
 
 
 def test_commutator_holder_symbol_finite_on_support():
@@ -515,34 +521,29 @@ def test_commutator_symbol_shift_invariance():
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5])
-def test_riesz_operators_on_a_fine_grid_take_few_kernel_points(monkeypatch, x):
+def test_riesz_operators_on_a_fine_grid_take_few_kernel_points(kernel_points, x):
     # the benchmark's Riesz PV and commutator (symbol y^2) on a Gaussian, at
-    # its tolerance.  Only the kernel's bounded rest is sampled, on panels
-    # at the support's octaves and at x ± x 2^-k, so the count does not grow
-    # with the grid: 720 points in one round at both grids, where sampling
-    # every grid cell took 7200 for the commutator and about 9600 for the
-    # PV on 450 nodes
-    sizes = []
-    real = operators.kernel_value
-
-    def counted(spec, x, y, **kw):
-        sizes.append(np.size(y))
-        return real(spec, x, y, **kw)
-
-    monkeypatch.setattr(operators, "kernel_value", counted)
+    # its tolerance, and the heat and Poisson commutators with them.  Only
+    # the kernel, or the Riesz kernel's bounded rest, is sampled, on panels
+    # at the support's octaves and at x ± l 2^k, so the count does not grow
+    # with the grid: 720 points for both Riesz operators, 464 for heat and
+    # 496-512 for Poisson at both grids, where sampling every grid cell took
+    # 7200 for a commutator and about 9600 for the PV on 450 nodes, and
+    # 28800 for a heat or Poisson commutator on 1800
     cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
-    k = KernelSpec("riesz", SP, quad=cfg)
+    specs = [KernelSpec("riesz", SP, quad=cfg), KernelSpec("heat", SP, t=0.05, quad=cfg),
+             KernelSpec("poisson", SP, t=0.1, quad=cfg)]
     counts = []
     for n in (450, 1800):
         nodes = np.linspace(1e-5, 6.0, n)
         f = GridFunction(nodes, np.exp(-nodes * nodes))
         b = GridFunction(nodes, nodes ** 2)
-        for op, spec in ((apply_riesz, OperatorSpec(k, pv=cfg)),
-                         (commutator, OperatorSpec(k, symbol=b))):
-            sizes.clear()
+        for op, spec in [(apply_riesz, OperatorSpec(specs[0]))] + [
+                (commutator, OperatorSpec(k, symbol=b)) for k in specs]:
+            kernel_points.clear()
             op(spec, f, x)
-            counts.append(sum(sizes))
-    assert counts[:2] == counts[2:]
+            counts.append(sum(kernel_points))
+    assert counts[:4] == counts[4:]
     assert max(counts) <= 1600
 
 
